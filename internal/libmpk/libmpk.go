@@ -50,6 +50,10 @@ var (
 	ErrNoFreeKey = errors.New("libmpk: all hardware keys in use")
 	// ErrUnknownKey reports an unallocated vkey.
 	ErrUnknownKey = errors.New("libmpk: unknown vkey")
+
+	// errAllHeld is ErrNoFreeKey with its detail formatted once: direct
+	// callers spin on it, so the retry path must not allocate.
+	errAllHeld = fmt.Errorf("%w: %d keys, all held", ErrNoFreeKey, UsableKeys)
 )
 
 // Stats breaks libmpk's overhead into the Figure 1 buckets.
@@ -402,7 +406,7 @@ func (m *Manager) mapKey(p *sim.Proc, task *kernel.Task, v Vkey, k *keyMeta) (cy
 		}
 		// Everything is in use: busy-wait for a release.
 		if p == nil || m.released == nil {
-			return cost, fmt.Errorf("%w: %d keys, all held", ErrNoFreeKey, UsableKeys)
+			return cost, errAllHeld
 		}
 		m.Stats.BusyWaits++
 		waited := m.released.Wait(p)

@@ -318,3 +318,31 @@ func TestPerThreadPermissionViews(t *testing.T) {
 		t.Errorf("t2 write with WD = %v, want SIGSEGV", err)
 	}
 }
+
+// TestDirectModeAllHeldDoesNotAllocate pins the spin-retry path: with
+// every key held, a direct PkeySet returns the preformatted ErrNoFreeKey
+// without allocating, and the error text is unchanged.
+func TestDirectModeAllHeldDoesNotAllocate(t *testing.T) {
+	f := newFixture(t, 1, nil)
+	task := f.proc.NewTask(0)
+	for i := 0; i < UsableKeys; i++ {
+		v, _ := f.newKeyRegion(t, task, 1)
+		if _, err := f.m.PkeySet(nil, task, v, hw.PermReadWrite); err != nil {
+			t.Fatal(err)
+		}
+	}
+	v, _ := f.newKeyRegion(t, task, 1)
+	var err error
+	allocs := testing.AllocsPerRun(100, func() {
+		_, err = f.m.PkeySet(nil, task, v, hw.PermReadWrite)
+	})
+	if !errors.Is(err, ErrNoFreeKey) {
+		t.Fatalf("err = %v, want ErrNoFreeKey", err)
+	}
+	if want := "libmpk: all hardware keys in use: 14 keys, all held"; err.Error() != want {
+		t.Errorf("err = %q, want %q", err, want)
+	}
+	if allocs != 0 {
+		t.Errorf("all-held PkeySet allocates %v times per call, want 0", allocs)
+	}
+}

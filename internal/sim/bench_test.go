@@ -3,7 +3,8 @@ package sim
 import "testing"
 
 // BenchmarkProcessHandoff measures the simulator's per-event cost: one
-// Delay = one heap push/pop plus two channel handoffs.
+// Delay = one push and pop on the value-typed event heap plus one
+// coroutine switch out of the process and one back in.
 func BenchmarkProcessHandoff(b *testing.B) {
 	env := NewEnv()
 	env.Go("worker", func(p *Proc) {

@@ -2,15 +2,14 @@
 // virtual clock measured in CPU cycles.
 //
 // Workloads (httpd worker threads, MySQL connection handlers, PMO benchmark
-// threads) run as simulated processes: goroutines that advance virtual time
+// threads) run as simulated processes: coroutines that advance virtual time
 // with Delay, contend on Resources, and wait on Signals. Exactly one process
-// executes at any instant — the environment resumes a process, waits for it
-// to block or finish, and only then dispatches the next event — so runs are
-// fully deterministic for a fixed spawn order and seed.
+// executes at any instant — the environment resumes a process, which runs
+// until it blocks or finishes and only then hands control back — so runs
+// are fully deterministic for a fixed spawn order and seed.
 package sim
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 )
@@ -36,10 +35,10 @@ type Env struct {
 	now     Time
 	seq     uint64
 	queue   eventQueue
-	procs   int // live (spawned, not yet finished) processes
-	spawned int // total processes ever spawned (assigns Proc ids)
-	blocked int // processes blocked on a resource/signal (no pending event)
-	current *Proc
+	procs   int     // live (spawned, not yet finished) processes
+	spawned int     // total processes ever spawned (assigns Proc ids)
+	blocked int     // processes blocked on a resource/signal (no pending event)
+	live    []*Proc // spawned processes, finished ones pruned lazily
 	tracer  Tracer
 	wd      *Watchdog
 }
@@ -58,10 +57,10 @@ func (e *Env) Now() Time { return e.now }
 func (e *Env) SetTracer(t Tracer) { e.tracer = t }
 
 // SetWatchdog attaches a watchdog to the environment. With one attached,
-// Run no longer panics on a simulation deadlock: it feeds the watchdog
-// repeated observations of the frozen clock until it fires (invoking its
-// onStall recovery callback) and then returns, leaving the blocked
-// processes parked. Without a watchdog (the default) the historical
+// Run no longer panics on a simulation deadlock: it stops the blocked
+// processes, feeds the watchdog repeated observations of the frozen clock
+// until it fires (invoking its onStall recovery callback) and then
+// returns. Without a watchdog (the default) the historical
 // ErrDeadlock panic is unchanged.
 func (e *Env) SetWatchdog(w *Watchdog) { e.wd = w }
 
@@ -71,40 +70,75 @@ type event struct {
 	proc *Proc
 }
 
-type eventQueue []*event
-
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
+// before orders events by time, then by scheduling order, so events at
+// the same time fire FIFO.
+func (a *event) before(b *event) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return q[i].seq < q[j].seq
+	return a.seq < b.seq
 }
-func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x any)   { *q = append(*q, x.(*event)) }
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return ev
-}
+
+// eventQueue is a binary min-heap of events held by value.
+type eventQueue []event
 
 func (e *Env) schedule(p *Proc, at Time) {
 	e.seq++
-	heap.Push(&e.queue, &event{at: at, seq: e.seq, proc: p})
+	ev := event{at: at, seq: e.seq, proc: p}
+	q := append(e.queue, ev)
+	i := len(q) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !ev.before(&q[parent]) {
+			break
+		}
+		q[i] = q[parent]
+		i = parent
+	}
+	q[i] = ev
+	e.queue = q
+}
+
+// pop removes and returns the earliest event. The queue must be non-empty.
+func (e *Env) pop() event {
+	q := e.queue
+	top := q[0]
+	n := len(q) - 1
+	last := q[n]
+	q[n] = event{}
+	q = q[:n]
+	if n > 0 {
+		i := 0
+		for {
+			child := 2*i + 1
+			if child >= n {
+				break
+			}
+			if r := child + 1; r < n && q[r].before(&q[child]) {
+				child = r
+			}
+			if !q[child].before(&last) {
+				break
+			}
+			q[i] = q[child]
+			i = child
+		}
+		q[i] = last
+	}
+	e.queue = q
+	return top
 }
 
 // Proc is a simulated process. All Proc methods must be called from within
 // the process's own body function.
 type Proc struct {
-	env    *Env
-	name   string
-	id     int
-	resume chan struct{}
-	parked chan struct{} // signaled by the proc when it blocks or finishes
-	done   bool
+	env     *Env
+	name    string
+	id      int
+	resume  func() (struct{}, bool) // runs the body until it yields or ends
+	suspend func(struct{}) bool     // yields to Run; false once stopped
+	stop    func()                  // unwinds a suspended body
+	done    bool
 }
 
 // Name returns the process name given at spawn.
@@ -119,39 +153,6 @@ func (p *Proc) Env() *Env { return p.env }
 
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.env.now }
-
-// Go spawns a new simulated process that starts at the current virtual
-// time. The body runs in its own goroutine but only while the environment
-// has handed it control.
-func (e *Env) Go(name string, body func(p *Proc)) *Proc {
-	return e.GoAt(e.now, name, body)
-}
-
-// GoAt spawns a process whose body starts at virtual time `at` (which must
-// not be in the past).
-func (e *Env) GoAt(at Time, name string, body func(p *Proc)) *Proc {
-	if at < e.now {
-		panic(fmt.Sprintf("sim: GoAt(%d) in the past (now %d)", at, e.now))
-	}
-	p := &Proc{
-		env:    e,
-		name:   name,
-		id:     e.spawned,
-		resume: make(chan struct{}),
-		parked: make(chan struct{}),
-	}
-	e.procs++
-	e.spawned++
-	go func() {
-		<-p.resume // wait for first dispatch
-		body(p)
-		p.done = true
-		e.procs--
-		p.parked <- struct{}{}
-	}()
-	e.schedule(p, at)
-	return p
-}
 
 // Delay advances the process by d cycles of virtual time.
 func (p *Proc) Delay(d uint64) {
@@ -175,39 +176,40 @@ func (p *Proc) unpark() {
 	p.env.schedule(p, p.env.now)
 }
 
-// yield returns control to the environment and blocks until the next event
-// for this process fires.
-func (p *Proc) yield() {
-	p.parked <- struct{}{}
-	<-p.resume
-}
-
 // Run executes events until the queue is empty. It returns the final
 // virtual time. Run panics if processes remain blocked with no pending
 // events (a simulation deadlock), since that always indicates a bug in the
-// modeled system; the panic value is an error wrapping ErrDeadlock.
+// modeled system; the panic value is an error wrapping ErrDeadlock. A
+// panic in a process body unwinds out of Run in the caller's goroutine
+// with the original panic value, so the caller's recover handlers see it.
+// Whenever Run leaves with processes still blocked — a panic, or a
+// deadlock handed to the watchdog — it stops them first, so no suspended
+// process outlives the call.
 func (e *Env) Run() Time {
-	for e.queue.Len() > 0 {
-		ev := heap.Pop(&e.queue).(*event)
+	defer func() {
+		if r := recover(); r != nil {
+			e.stopLive()
+			panic(r)
+		}
+	}()
+	for len(e.queue) > 0 {
+		ev := e.pop()
 		if ev.at < e.now {
 			panic("sim: event in the past")
 		}
 		e.now = ev.at
-		e.current = ev.proc
-		ev.proc.resume <- struct{}{}
-		<-ev.proc.parked
-		e.current = nil
+		ev.proc.resume()
 	}
 	if e.blocked > 0 {
-		if e.wd != nil {
-			// A deadlock freezes the virtual clock: feed the watchdog
-			// the stuck clock until it trips and drives recovery.
-			for !e.wd.Fired() {
-				e.wd.Observe(uint64(e.now))
-			}
-			return e.now
+		if e.wd == nil {
+			panic(fmt.Errorf("%w: %d process(es) blocked with an empty event queue", ErrDeadlock, e.blocked))
 		}
-		panic(fmt.Errorf("%w: %d process(es) blocked with an empty event queue", ErrDeadlock, e.blocked))
+		e.stopLive()
+		// A deadlock freezes the virtual clock: feed the watchdog the
+		// stuck clock until it trips and drives recovery.
+		for !e.wd.Fired() {
+			e.wd.Observe(uint64(e.now))
+		}
 	}
 	return e.now
 }
