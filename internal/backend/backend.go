@@ -186,6 +186,17 @@ func Of(inst *Instance) Backend {
 	return nil
 }
 
+// SetMetrics installs the cycle-attribution registry on the kernel and
+// the present domain layer (nil detaches).
+func (inst *Instance) SetMetrics(r *metrics.Registry) {
+	if inst.Kernel != nil {
+		inst.Kernel.SetMetrics(r)
+	}
+	if b := Of(inst); b != nil {
+		b.SetMetrics(inst, r)
+	}
+}
+
 // BootSubstrate boots the shared machine/kernel/process substrate the
 // non-standalone backends attach to.
 func BootSubstrate(inst *Instance, spec Spec) {

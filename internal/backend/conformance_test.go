@@ -16,7 +16,6 @@ import (
 	"vdom/internal/pagetable"
 	"vdom/internal/replay"
 	"vdom/internal/snapshot"
-	"vdom/internal/tlb"
 )
 
 // The backend-conformance suite: every registered kernel backend, on
@@ -260,21 +259,7 @@ func TestConformanceAuditClean(t *testing.T) {
 					t.Skip("standalone cost model: no machine to audit")
 				}
 
-				owners := map[tlb.ASID]*pagetable.Table{}
-				shadow := sys.Proc.AS().Shadow()
-				for _, tk := range sys.Proc.Tasks() {
-					owners[tk.BaseASID()] = shadow
-				}
-				var mgrs []*core.Manager
-				if sys.Manager != nil {
-					mgrs = append(mgrs, sys.Manager)
-				}
-				if sys.DPTI != nil {
-					sys.DPTI.OwnedASIDs(func(a tlb.ASID, tbl *pagetable.Table) {
-						owners[a] = tbl
-					})
-				}
-				if v := chaos.AuditOwners(sys.Machine, sys.Kernel, owners, mgrs...); len(v) != 0 {
+				if v := chaos.AuditSystem(sys); len(v) != 0 {
 					t.Fatalf("audit found %d violations, first: %v", len(v), v[0])
 				}
 			})

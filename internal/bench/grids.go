@@ -662,23 +662,14 @@ func chaosGrid(o Options, kern string, seed uint64) gridJobs {
 				fault.VDSAllocFail = 0
 				fault.PdomExhaustion = 0
 			}
-			scfg := chaos.SoakConfig{
+			s := chaos.StartSoak(chaos.SoakConfig{
 				Chaos:   fault,
 				Ops:     ops,
+				Kernel:  kern,
 				Metrics: reg,
 				Trace:   tr,
 				Record:  o.TraceDump != "",
-			}
-			var s interface {
-				NextOp() int
-				Step() bool
-				Finish() *chaos.SoakResult
-			}
-			if kern == "dpti" {
-				s = chaos.StartSoakDPTI(scfg)
-			} else {
-				s = chaos.StartSoak(scfg)
-			}
+			})
 			// Step with a periodic wall-clock escape hatch: a -timeout
 			// cancels the soak between ops instead of hanging the job.
 			for {

@@ -7,6 +7,7 @@ import (
 	"vdom/internal/hw"
 	"vdom/internal/kernel"
 	"vdom/internal/pagetable"
+	"vdom/internal/replay"
 	"vdom/internal/tlb"
 )
 
@@ -45,9 +46,30 @@ func Audit(m *hw.Machine, k *kernel.Kernel, mgrs ...*core.Manager) []Violation {
 	return AuditOwners(m, k, nil, mgrs...)
 }
 
+// AuditSystem audits every layer a booted system carries: the VDom
+// manager's metadata and address spaces when it has one, each task's
+// base ASID as the shadow table's, and, for DPTI, each materialized
+// domain table under its ASID.
+func AuditSystem(sys *replay.System) []Violation {
+	var mgrs []*core.Manager
+	if sys.Manager != nil {
+		mgrs = append(mgrs, sys.Manager)
+	}
+	owners := make(map[tlb.ASID]*pagetable.Table)
+	if sys.Proc != nil {
+		for _, t := range sys.Proc.Tasks() {
+			owners[t.BaseASID()] = sys.Proc.AS().Shadow()
+		}
+	}
+	if sys.DPTI != nil {
+		sys.DPTI.OwnedASIDs(func(a tlb.ASID, tb *pagetable.Table) { owners[a] = tb })
+	}
+	return AuditOwners(sys.Machine, sys.Kernel, owners, mgrs...)
+}
+
 // AuditOwners is Audit with extra ASID ownership: owners maps live ASIDs
 // to their page tables for protection systems the auditor has no manager
-// handle for (the DPTI soak owns per-domain tables this way).
+// handle for (AuditSystem registers DPTI's per-domain tables this way).
 func AuditOwners(m *hw.Machine, k *kernel.Kernel, owners map[tlb.ASID]*pagetable.Table, mgrs ...*core.Manager) []Violation {
 	var out []Violation
 	for _, mgr := range mgrs {

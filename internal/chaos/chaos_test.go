@@ -6,9 +6,9 @@ import (
 
 	"vdom/internal/core"
 	"vdom/internal/cycles"
-	"vdom/internal/hw"
 	"vdom/internal/kernel"
 	"vdom/internal/pagetable"
+	"vdom/internal/replay"
 	"vdom/internal/tlb"
 )
 
@@ -130,24 +130,32 @@ func TestSoakCleanWhenOff(t *testing.T) {
 	}
 }
 
+// bootVDom boots a 2-core VDom system with the default policy through
+// the backend registry.
+func bootVDom(t *testing.T) *replay.System {
+	t.Helper()
+	sys, err := replay.Boot(replay.Header{
+		Kernel: replay.KernelVDom, Arch: "x86", Cores: 2,
+		Flags: replay.HdrVDomKernel | replay.HdrSecureGate,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sys
+}
+
 // miniWorkload drives a fixed grant/access/revoke/free sequence and
 // returns its total cycle cost, with or without a (zero-probability)
 // injector attached to every layer.
 func miniWorkload(t *testing.T, withInjector bool) cycles.Cost {
 	t.Helper()
-	machine := hw.NewMachine(hw.Config{NumCores: 2})
-	kern := kernel.New(kernel.Config{Machine: machine, VDomEnabled: true})
+	sys := bootVDom(t)
 	var in *Injector
 	if withInjector {
 		in = New(Config{Seed: 1}) // every probability zero
-		in.AttachMachine(machine)
-		in.AttachKernel(kern)
+		in.AttachSystem(sys)
 	}
-	proc := kern.NewProcess()
-	mgr := core.Attach(proc, core.DefaultPolicy())
-	if withInjector {
-		in.AttachManager(mgr)
-	}
+	proc, mgr := sys.Proc, sys.Manager
 	t0 := proc.NewTask(0)
 	t1 := proc.NewTask(1)
 
@@ -204,10 +212,8 @@ func TestZeroCostWhenOff(t *testing.T) {
 // TLB and checks the auditor reports each — guarding against an auditor
 // that passes because it checks nothing.
 func TestAuditCatchesIncoherence(t *testing.T) {
-	machine := hw.NewMachine(hw.Config{NumCores: 2})
-	kern := kernel.New(kernel.Config{Machine: machine, VDomEnabled: true})
-	proc := kern.NewProcess()
-	mgr := core.Attach(proc, core.DefaultPolicy())
+	sys := bootVDom(t)
+	machine, kern, proc, mgr := sys.Machine, sys.Kernel, sys.Proc, sys.Manager
 	task := proc.NewTask(0)
 	base := pagetable.VAddr(0x6000_0000)
 	if _, err := task.Mmap(base, 4*pagetable.PageSize, true); err != nil {

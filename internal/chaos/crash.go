@@ -130,8 +130,7 @@ func (s *SoakRun) Checkpoint() ([]byte, error) {
 	}
 	h := soakHeader(s.cfg)
 	h.Version = replay.FormatVersion
-	sys := &replay.System{Machine: s.machine, Kernel: s.kern, Proc: s.proc, Manager: s.mgr}
-	st, err := snapshot.Capture(sys, h, s.rec.Clock(), s.rec.Len())
+	st, err := snapshot.Capture(s.sys, h, s.rec.Clock(), s.rec.Len())
 	if err != nil {
 		return nil, err
 	}
@@ -147,20 +146,21 @@ func (s *SoakRun) Crash(kind CrashKind) string {
 	switch kind {
 	case CrashCore:
 		id := s.nextOp % s.cfg.Cores
-		s.machine.Core(id).CrashVolatile()
+		s.sys.Machine.Core(id).CrashVolatile()
 		return fmt.Sprintf("core %d volatile state wiped", id)
 	case CrashKernelPanic:
-		s.kern.ClearResidency()
+		s.sys.Kernel.ClearResidency()
 		return "kernel panic: per-core residency lost"
 	case CrashTornDomainMap:
-		detail, ok := s.mgr.TearDomainMap()
-		if !ok {
-			// No mapped vdom to tear; fall back to a residency wipe so
-			// the fault still strikes deterministically.
-			s.kern.ClearResidency()
-			return "no mapped vdom to tear; kernel residency wiped instead"
+		if s.sys.Manager != nil {
+			if detail, ok := s.sys.Manager.TearDomainMap(); ok {
+				return "torn domain map: " + detail
+			}
 		}
-		return "torn domain map: " + detail
+		// No mapped vdom to tear; fall back to a residency wipe so the
+		// fault still strikes deterministically.
+		s.sys.Kernel.ClearResidency()
+		return "no mapped vdom to tear; kernel residency wiped instead"
 	default:
 		panic(fmt.Sprintf("chaos: unknown crash kind %d", int(kind)))
 	}
@@ -170,7 +170,7 @@ func (s *SoakRun) Crash(kind CrashKind) string {
 // crashed) system without folding the findings into the soak result —
 // crash detection findings describe state that recovery discards.
 func (s *SoakRun) AuditNow() []Violation {
-	return Audit(s.machine, s.kern, s.mgr)
+	return AuditSystem(s.sys)
 }
 
 // Recovery describes one completed checkpoint-restore-tail-replay pass.
@@ -213,11 +213,7 @@ func recoverFromCheckpoint(snap []byte, tail *replay.Trace) (*replay.System, map
 	in := NewFromSnap(isnap)
 
 	res, err := replay.RunTail(tail, sys, tasks, st.Meta.Clock, st.Meta.EventIndex, replay.Options{
-		Setup: func(sys *replay.System) {
-			in.AttachMachine(sys.Machine)
-			in.AttachKernel(sys.Kernel)
-			in.AttachManager(sys.Manager)
-		},
+		Setup: in.AttachSystem,
 	})
 	if err != nil {
 		return nil, nil, nil, nil, err
@@ -226,7 +222,7 @@ func recoverFromCheckpoint(snap []byte, tail *replay.Trace) (*replay.System, map
 		return nil, nil, nil, nil, fmt.Errorf("chaos: tail replay diverged at event %d (cycle delta %d)",
 			res.Divergence.Index, res.Divergence.CycleDelta)
 	}
-	rec := &Recovery{TailEvents: res.Events, Violations: Audit(sys.Machine, sys.Kernel, sys.Manager)}
+	rec := &Recovery{TailEvents: res.Events, Violations: AuditSystem(sys)}
 	return sys, tasks, in, rec, nil
 }
 
@@ -253,8 +249,7 @@ func (s *SoakRun) Recover(snap []byte) (*Recovery, error) {
 		return nil, err
 	}
 
-	// Swap the recovered instances in and re-wire the host-side taps.
-	s.machine, s.kern, s.proc, s.mgr, s.in = sys.Machine, sys.Kernel, sys.Proc, sys.Manager, in
+	// Swap the recovered system in and re-wire the host-side taps.
 	for i, t := range s.tasks {
 		nt, ok := tasks[uint64(t.TID())]
 		if !ok {
@@ -262,11 +257,8 @@ func (s *SoakRun) Recover(snap []byte) (*Recovery, error) {
 		}
 		s.tasks[i] = nt
 	}
-	s.rec.AttachKernel(s.kern)
-	s.rec.AttachManager(s.mgr)
-	s.kern.SetMetrics(s.cfg.Metrics)
-	s.mgr.SetMetrics(s.cfg.Metrics)
-	s.attachTracer()
+	s.in = in
+	s.attach(sys)
 	s.tracedEvents = len(s.in.Events())
 	return rec, nil
 }

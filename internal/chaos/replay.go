@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"vdom/internal/core"
 	"vdom/internal/replay"
 	"vdom/internal/tlb"
 )
@@ -28,37 +27,19 @@ const (
 	extraSpuriousFault  = "chaos/spurious-fault"
 )
 
-// soakHeader describes a soak run's platform: the standard VDom boot of
-// Soak plus the injector configuration in Extra, so ReplayTrace can
-// rebuild the identical fault stream.
+// soakHeader describes a soak run's platform: the kernel's own header
+// fields plus the machine geometry and the injector configuration in
+// Extra, so ReplayTrace can rebuild the identical fault stream. The
+// workload name is SoakWorkload for every kernel; the Kernel field is
+// what selects the boot.
 func soakHeader(cfg SoakConfig) replay.Header {
-	pol := core.DefaultPolicy()
-	h := replay.Header{
-		Kernel:         replay.KernelVDom,
-		Arch:           replay.ArchName(cfg.Arch),
-		Cores:          cfg.Cores,
-		Seed:           cfg.Chaos.Seed,
-		Workload:       SoakWorkload,
-		Flags:          replay.HdrVDomKernel,
-		FlushThreshold: pol.RangeFlushThresholdPages,
-		Nas:            pol.DefaultNas,
-		ConfigDigest: replay.DigestString(fmt.Sprintf(
-			"chaos-soak|arch=%s|cores=%d|threads=%d|vdoms=%d|ops=%d|chaos=%+v",
-			replay.ArchName(cfg.Arch), cfg.Cores, cfg.Threads, cfg.Vdoms, cfg.Ops, cfg.Chaos)),
-		Extra: injectorExtra(cfg.Chaos),
-	}
-	if pol.SecureGate {
-		h.Flags |= replay.HdrSecureGate
-	}
+	h := soakKernels[cfg.Kernel].header(cfg)
+	h.Arch = replay.ArchName(cfg.Arch)
+	h.Cores = cfg.Cores
+	h.Seed = cfg.Chaos.Seed
+	h.Workload = SoakWorkload
+	h.Extra = ExtraConfig(cfg.Chaos)
 	return h
-}
-
-// ExtraConfig encodes an injector configuration into trace-header Extra
-// keys; ConfigFromExtra is the inverse. The scenario compiler embeds a
-// phase's fault schedule into cell headers through it, so a faulted
-// scenario trace replays under the identical fault stream.
-func ExtraConfig(cfg Config) map[string]uint64 {
-	return injectorExtra(cfg)
 }
 
 // ConfigFromExtra rebuilds an injector configuration from trace-header
@@ -96,9 +77,12 @@ func (in *Injector) AttachSystem(sys *replay.System) {
 	}
 }
 
-// injectorExtra encodes the injector configuration into trace-header
-// Extra keys (configFromHeader is the inverse).
-func injectorExtra(cfg Config) map[string]uint64 {
+// ExtraConfig encodes an injector configuration into trace-header Extra
+// keys; ConfigFromExtra is the inverse. Soak headers carry it, and the
+// scenario compiler embeds a phase's fault schedule into cell headers
+// through it, so a faulted trace replays under the identical fault
+// stream.
+func ExtraConfig(cfg Config) map[string]uint64 {
 	return map[string]uint64{
 		extraSeed:           cfg.Seed,
 		extraDropIPI:        math.Float64bits(cfg.DropIPI),
@@ -118,20 +102,11 @@ func configFromHeader(h replay.Header) (Config, error) {
 	if h.Workload != SoakWorkload {
 		return Config{}, fmt.Errorf("%w: workload %q is not a chaos-soak trace", replay.ErrBadRecord, h.Workload)
 	}
-	if h.Extra == nil {
+	cfg, ok := ConfigFromExtra(h.Extra)
+	if !ok {
 		return Config{}, fmt.Errorf("%w: chaos-soak trace carries no injector config", replay.ErrBadRecord)
 	}
-	return Config{
-		Seed:           h.Extra[extraSeed],
-		DropIPI:        math.Float64frombits(h.Extra[extraDropIPI]),
-		DelayIPI:       math.Float64frombits(h.Extra[extraDelayIPI]),
-		StaleTLB:       math.Float64frombits(h.Extra[extraStaleTLB]),
-		ASIDExhaustion: math.Float64frombits(h.Extra[extraASIDExhaustion]),
-		ASIDLimit:      tlb.ASID(h.Extra[extraASIDLimit]),
-		VDSAllocFail:   math.Float64frombits(h.Extra[extraVDSAllocFail]),
-		PdomExhaustion: math.Float64frombits(h.Extra[extraPdomExhaustion]),
-		SpuriousFault:  math.Float64frombits(h.Extra[extraSpuriousFault]),
-	}, nil
+	return cfg, nil
 }
 
 // ReplayTrace replays a chaos-soak recording: it rebuilds the injector

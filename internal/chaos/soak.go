@@ -6,7 +6,7 @@ import (
 
 	"vdom/internal/core"
 	"vdom/internal/cycles"
-	"vdom/internal/hw"
+	"vdom/internal/dpti"
 	"vdom/internal/kernel"
 	"vdom/internal/metrics"
 	"vdom/internal/pagetable"
@@ -32,13 +32,17 @@ type SoakConfig struct {
 	AuditEvery int
 	// Arch selects the cost table (default X86).
 	Arch cycles.Arch
+	// Kernel names the backend to soak: "" or "vdom" drives the VDom
+	// manager, "dpti" the per-domain-page-table baseline.
+	Kernel string
 
-	// Metrics, when non-nil, is attached to the kernel and the VDom
-	// manager; the run's per-(layer, op) cycle attribution then sums to
+	// Metrics, when non-nil, is attached to the kernel and the domain
+	// layer; the run's per-(layer, op) cycle attribution then sums to
 	// exactly SoakResult.Cycles, and the injector's and layers' event
 	// counters are harvested when the soak finishes.
 	Metrics *metrics.Registry
-	// Trace, when non-nil, receives one Chrome-trace decision span per
+	// Trace, when non-nil, receives one Chrome-trace instant per injected
+	// fault and recovery and, for VDom, one decision span per
 	// domain-virtualization event, timestamped on the run's cumulative
 	// cycle clock.
 	Trace *metrics.Trace
@@ -69,7 +73,8 @@ type SoakResult struct {
 	Audits int
 	// ASIDRollovers is the kernel's generation-rollover count.
 	ASIDRollovers uint64
-	// CoreStats snapshots the VDom manager's operation counters.
+	// CoreStats snapshots the VDom manager's operation counters (zero
+	// for other kernels).
 	CoreStats core.Stats
 	// Trace is the full replayable recording (nil unless
 	// SoakConfig.Record was set).
@@ -145,19 +150,19 @@ const regionPages = 4
 // seals the result. Soak composes the three for the plain
 // run-to-completion case.
 type SoakRun struct {
-	cfg SoakConfig
+	cfg  SoakConfig
+	kern soakKernel
 
-	in      *Injector
-	machine *hw.Machine
-	kern    *kernel.Kernel
-	proc    *kernel.Process
-	mgr     *core.Manager
-	rec     *replay.Recorder
+	in  *Injector
+	sys *replay.System
+	rec *replay.Recorder
 
-	res    *SoakResult
-	total  cycles.Cost
-	tasks  []*kernel.Task
-	vdoms  []core.VdomID
+	res   *SoakResult
+	total cycles.Cost
+	tasks []*kernel.Task
+	// doms holds each region's current domain id, in the kernel's own
+	// id space.
+	doms   []uint64
 	r      *sim.Rand
 	nextOp int
 
@@ -165,10 +170,35 @@ type SoakRun struct {
 	finished     bool
 }
 
+// soakKernel is what one kernel contributes to the soak: its header
+// fields, its setup binding, its op mix, and its end stats. Booting,
+// recording, fault injection, audits, and tracing are shared.
+type soakKernel interface {
+	// header returns the kernel kind, policy flags, and config digest of
+	// the run's trace header.
+	header(cfg SoakConfig) replay.Header
+	// bind allocates region i's initial domain and protects the region
+	// with it.
+	bind(s *SoakRun, i int) uint64
+	// prepare runs per-thread setup once every region is bound.
+	prepare(s *SoakRun)
+	// step runs one op of the kernel's mix by thread t on region di; x
+	// is the op's draw from [0, 100).
+	step(s *SoakRun, op int, t *kernel.Task, di, x int)
+	// finish harvests the kernel's end stats.
+	finish(s *SoakRun)
+}
+
+// soakKernels maps backend names to their soak drivers.
+var soakKernels = map[string]soakKernel{
+	replay.KernelVDom: vdomSoak{},
+	replay.KernelDPTI: dptiSoak{},
+}
+
 // Soak boots a machine with the injector attached and drives a randomized
-// (but seed-deterministic) VDom workload through it: grants, accesses,
-// revocations, vdom free/realloc cycles, VDS spreading, VDR churn, and
-// frame reclaim — auditing cross-layer consistency as it goes. The same
+// (but seed-deterministic) workload through it: domain grants, accesses,
+// revocations, free/realloc cycles, and frame reclaim, plus each kernel's
+// own operations — auditing cross-layer consistency as it goes. The same
 // SoakConfig reproduces the identical event sequence.
 func Soak(cfg SoakConfig) *SoakResult {
 	s := StartSoak(cfg)
@@ -177,9 +207,10 @@ func Soak(cfg SoakConfig) *SoakResult {
 	return s.Finish()
 }
 
-// StartSoak boots the soak platform and runs the workload setup (task
-// spawns, region mmaps, initial vdom bindings), leaving the run poised
-// before op 1.
+// StartSoak boots the soak platform from its trace header and runs the
+// workload setup (task spawns, region mmaps, initial domain bindings),
+// leaving the run poised before op 1. It panics on a kernel with no soak
+// driver.
 func StartSoak(cfg SoakConfig) *SoakRun {
 	if cfg.Ops <= 0 {
 		cfg.Ops = 5000
@@ -196,30 +227,31 @@ func StartSoak(cfg SoakConfig) *SoakRun {
 	if cfg.AuditEvery <= 0 {
 		cfg.AuditEvery = 64
 	}
-
-	s := &SoakRun{cfg: cfg, nextOp: 1}
-	s.in = New(cfg.Chaos)
-	s.machine = hw.NewMachine(hw.Config{Arch: cfg.Arch, NumCores: cfg.Cores})
-	s.kern = kernel.New(kernel.Config{Machine: s.machine, VDomEnabled: true})
-	s.in.AttachMachine(s.machine)
-	s.in.AttachKernel(s.kern)
-	s.proc = s.kern.NewProcess()
-	s.mgr = core.Attach(s.proc, core.DefaultPolicy())
-	s.in.AttachManager(s.mgr)
-	if cfg.Record {
-		s.rec = replay.NewRecorder(soakHeader(cfg))
-		s.rec.AttachKernel(s.kern)
-		s.rec.AttachManager(s.mgr)
+	if cfg.Kernel == "" {
+		cfg.Kernel = replay.KernelVDom
+	}
+	kern, ok := soakKernels[cfg.Kernel]
+	if !ok {
+		panic(fmt.Sprintf("chaos: no soak driver for kernel %q", cfg.Kernel))
 	}
 
+	s := &SoakRun{cfg: cfg, kern: kern, nextOp: 1}
+	h := soakHeader(cfg)
+	sys, err := replay.Boot(h)
+	if err != nil {
+		panic(fmt.Sprintf("chaos: soak boot: %v", err))
+	}
+	s.in = New(cfg.Chaos)
+	s.in.AttachSystem(sys)
+	if cfg.Record {
+		s.rec = replay.NewRecorder(h)
+	}
 	s.res = &SoakResult{Ops: cfg.Ops, FirstFailEvent: -1}
-	s.kern.SetMetrics(cfg.Metrics)
-	s.mgr.SetMetrics(cfg.Metrics)
-	s.attachTracer()
+	s.attach(sys)
 
 	s.tasks = make([]*kernel.Task, cfg.Threads)
 	for i := range s.tasks {
-		s.tasks[i] = s.proc.NewTask(i % cfg.Cores)
+		s.tasks[i] = sys.Proc.NewTask(i % cfg.Cores)
 		if s.rec != nil {
 			s.rec.Spawn(s.tasks[i])
 		}
@@ -230,29 +262,16 @@ func StartSoak(cfg SoakConfig) *SoakRun {
 	} else {
 		s.total += c
 	}
-	s.vdoms = make([]core.VdomID, cfg.Vdoms)
-	for i := range s.vdoms {
+	s.doms = make([]uint64, cfg.Vdoms)
+	for i := range s.doms {
 		if c, err := s.tasks[0].Mmap(region(i), regionPages*pagetable.PageSize, true); err != nil {
 			s.fail(0, "setup mmap", err)
 		} else {
 			s.total += c
 		}
-		d, c := s.mgr.AllocVdom(i%4 == 0)
-		s.total += c
-		if c, err := s.mgr.Mprotect(s.tasks[0], region(i), regionPages*pagetable.PageSize, d); err != nil {
-			s.fail(0, "setup mprotect", err)
-		} else {
-			s.total += c
-		}
-		s.vdoms[i] = d
+		s.doms[i] = kern.bind(s, i)
 	}
-	for _, t := range s.tasks {
-		c, err := s.mgr.VdrAlloc(t, 0)
-		s.total += c
-		if err != nil {
-			s.fail(0, "setup vdr_alloc", err)
-		}
-	}
+	kern.prepare(s)
 
 	// The op stream draws from its own PRNG so the fault stream (the
 	// injector's) and the workload stream stay independent but both
@@ -261,7 +280,26 @@ func StartSoak(cfg SoakConfig) *SoakRun {
 	return s
 }
 
-// Working set: an unprotected scratch region plus one region per vdom.
+// attach makes sys the run's live system and wires the host-side sinks
+// onto it: the recorder, the metrics registry, and (for VDom) the
+// Chrome-trace decision tap. Recovery calls it again on the restored
+// system.
+func (s *SoakRun) attach(sys *replay.System) {
+	s.sys = sys
+	if s.rec != nil {
+		s.rec.AttachSystem(sys)
+	}
+	sys.SetMetrics(s.cfg.Metrics)
+	if s.cfg.Trace != nil && sys.Manager != nil {
+		sys.Manager.SetTracer(func(e core.Event) {
+			s.cfg.Trace.Decision(e.Kind.String(), e.TID, uint64(s.total), uint64(e.Cost), map[string]uint64{
+				"vdom": uint64(e.Vdom), "vds": uint64(e.VDS), "pdom": uint64(e.Pdom),
+			})
+		})
+	}
+}
+
+// Working set: an unprotected scratch region plus one region per domain.
 const (
 	plainBase  = pagetable.VAddr(0x1000_0000)
 	plainPages = 64
@@ -271,24 +309,16 @@ func region(i int) pagetable.VAddr {
 	return pagetable.VAddr(0x4000_0000 + uint64(i)*0x10_0000)
 }
 
+// pageOf draws a random page of region di.
+func (s *SoakRun) pageOf(di int) pagetable.VAddr {
+	return region(di) + pagetable.VAddr(uint64(s.r.Intn(regionPages))*pagetable.PageSize)
+}
+
 // NextOp returns the 1-based index of the op the next Step will run.
 func (s *SoakRun) NextOp() int { return s.nextOp }
 
 // ClockCycles returns the run's cumulative cycle clock.
 func (s *SoakRun) ClockCycles() uint64 { return uint64(s.total) }
-
-// attachTracer (re-)wires the Chrome-trace decision tap onto the current
-// manager instance; recovery calls it again on the restored one.
-func (s *SoakRun) attachTracer() {
-	if s.cfg.Trace == nil {
-		return
-	}
-	s.mgr.SetTracer(func(e core.Event) {
-		s.cfg.Trace.Decision(e.Kind.String(), e.TID, uint64(s.total), uint64(e.Cost), map[string]uint64{
-			"vdom": uint64(e.Vdom), "vds": uint64(e.VDS), "pdom": uint64(e.Pdom),
-		})
-	})
-}
 
 func (s *SoakRun) fail(op int, what string, err error) {
 	if s.rec != nil && s.res.FirstFailEvent < 0 {
@@ -301,7 +331,7 @@ func (s *SoakRun) fail(op int, what string, err error) {
 
 func (s *SoakRun) audit() {
 	s.res.Audits++
-	s.res.Violations = append(s.res.Violations, Audit(s.machine, s.kern, s.mgr)...)
+	s.res.Violations = append(s.res.Violations, AuditSystem(s.sys)...)
 }
 
 // traceEvents turns each injected fault and recovery into a trace
@@ -326,95 +356,33 @@ func (s *SoakRun) Step() bool {
 	s.nextOp++
 
 	t := s.tasks[s.r.Intn(len(s.tasks))]
-	di := s.r.Intn(len(s.vdoms))
-	d := s.vdoms[di]
-	switch x := s.r.Intn(100); {
-	case x < 50: // grant, then touch a page of the region
-		perm := core.VPermReadWrite
-		if x < 10 {
-			perm = core.VPermRead
-		}
-		c, err := s.mgr.WrVdr(t, d, perm)
-		s.total += c
-		if err != nil {
-			s.fail(op, fmt.Sprintf("wrvdr grant vdom %d", d), err)
-			break
-		}
-		addr := region(di) + pagetable.VAddr(uint64(s.r.Intn(regionPages))*pagetable.PageSize)
-		write := perm == core.VPermReadWrite && s.r.Intn(2) == 0
-		c, err = t.Access(addr, write)
-		s.total += c
-		if err != nil {
-			s.fail(op, fmt.Sprintf("access vdom %d at %#x", d, uint64(addr)), err)
-		}
-	case x < 65: // revoke (sometimes pinning)
-		perm := core.VPermNone
-		if x < 55 {
-			perm = core.VPermPinned
-		}
-		c, err := s.mgr.WrVdr(t, d, perm)
-		s.total += c
-		if err != nil {
-			s.fail(op, fmt.Sprintf("wrvdr revoke vdom %d", d), err)
-		}
-	case x < 75: // free the vdom, rebind its region to a fresh one
-		c, err := s.mgr.FreeVdom(d)
-		s.total += c
-		if err != nil {
-			s.fail(op, fmt.Sprintf("free vdom %d", d), err)
-			break
-		}
-		nd, c := s.mgr.AllocVdom(s.r.Intn(4) == 0)
-		s.total += c
-		c, err = s.mgr.Mprotect(t, region(di), regionPages*pagetable.PageSize, nd)
-		s.total += c
-		if err != nil {
-			s.fail(op, fmt.Sprintf("mprotect vdom %d", nd), err)
-			break
-		}
-		s.vdoms[di] = nd
-	case x < 83: // spread the thread into a fresh VDS
-		c, err := s.mgr.PlaceInNewVDS(t)
-		s.total += c
-		// A typed resource failure here is tolerated: the caller's
-		// recovery is simply staying in its current VDS.
-		if err != nil && !errors.Is(err, core.ErrNoResources) && !errors.Is(err, core.ErrExhausted) {
-			s.fail(op, "place_in_new_vds", err)
-		}
-	case x < 90: // VDR churn (exercises the base-ASID restore)
-		c, err := s.mgr.VdrFree(t)
-		s.total += c
-		if err != nil {
-			s.fail(op, "vdr_free", err)
-			break
-		}
-		c, err = s.mgr.VdrAlloc(t, 0)
-		s.total += c
-		if err != nil {
-			s.fail(op, "vdr_alloc", err)
-		}
-	case x < 96: // kswapd pressure, plus VDS garbage collection
-		max := 1 + s.r.Intn(8)
-		n, c := s.proc.ReclaimFrames(t.CoreID(), max)
-		s.total += c
-		reaped := s.mgr.ReapVDSes()
-		if s.rec != nil {
-			s.rec.Reclaim(t.CoreID(), max, n, c)
-			s.rec.Reap(reaped)
-		}
-	default: // unprotected access
-		addr := plainBase + pagetable.VAddr(uint64(s.r.Intn(plainPages))*pagetable.PageSize)
-		c, err := t.Access(addr, s.r.Intn(2) == 0)
-		s.total += c
-		if err != nil {
-			s.fail(op, fmt.Sprintf("plain access at %#x", uint64(addr)), err)
-		}
-	}
+	di := s.r.Intn(len(s.doms))
+	s.kern.step(s, op, t, di, s.r.Intn(100))
 	s.traceEvents()
 	if op%s.cfg.AuditEvery == 0 {
 		s.audit()
 	}
 	return s.nextOp <= s.cfg.Ops
+}
+
+// plainAccess touches a random page of the unprotected scratch region.
+func (s *SoakRun) plainAccess(op int, t *kernel.Task) {
+	addr := plainBase + pagetable.VAddr(uint64(s.r.Intn(plainPages))*pagetable.PageSize)
+	c, err := t.Access(addr, s.r.Intn(2) == 0)
+	s.total += c
+	if err != nil {
+		s.fail(op, fmt.Sprintf("plain access at %#x", uint64(addr)), err)
+	}
+}
+
+// reclaim applies kswapd pressure from t's core and records it.
+func (s *SoakRun) reclaim(t *kernel.Task) {
+	max := 1 + s.r.Intn(8)
+	n, c := s.sys.Proc.ReclaimFrames(t.CoreID(), max)
+	s.total += c
+	if s.rec != nil {
+		s.rec.Reclaim(t.CoreID(), max, n, c)
+	}
 }
 
 // Finish runs the final audit, harvests every counter, and seals the
@@ -430,13 +398,247 @@ func (s *SoakRun) Finish() *SoakResult {
 	s.res.Injected = s.in.Injected()
 	s.res.Recovered = s.in.Recovered()
 	s.res.Events = s.in.Events()
-	s.res.ASIDRollovers = s.kern.ASIDRollovers()
-	s.res.CoreStats = s.mgr.Stats
+	s.res.ASIDRollovers = s.sys.Kernel.ASIDRollovers()
 	if s.rec != nil {
 		s.res.Trace = s.rec.Finish()
 	}
 	if s.cfg.Metrics != nil {
-		s.cfg.Metrics.Accumulate(s.in, s.machine, s.proc.AS(), s.kern)
+		s.cfg.Metrics.Accumulate(s.in, s.sys.Machine, s.sys.Proc.AS(), s.sys.Kernel)
 	}
+	s.kern.finish(s)
 	return s.res
+}
+
+// vdomSoak drives the VDom manager: grants, accesses, revocations, vdom
+// free/realloc cycles, VDS spreading, VDR churn, and frame reclaim.
+type vdomSoak struct{}
+
+func (vdomSoak) header(cfg SoakConfig) replay.Header {
+	pol := core.DefaultPolicy()
+	h := replay.Header{
+		Kernel:         replay.KernelVDom,
+		Flags:          replay.HdrVDomKernel,
+		FlushThreshold: pol.RangeFlushThresholdPages,
+		Nas:            pol.DefaultNas,
+		ConfigDigest: replay.DigestString(fmt.Sprintf(
+			"chaos-soak|arch=%s|cores=%d|threads=%d|vdoms=%d|ops=%d|chaos=%+v",
+			replay.ArchName(cfg.Arch), cfg.Cores, cfg.Threads, cfg.Vdoms, cfg.Ops, cfg.Chaos)),
+	}
+	if pol.SecureGate {
+		h.Flags |= replay.HdrSecureGate
+	}
+	return h
+}
+
+func (vdomSoak) bind(s *SoakRun, i int) uint64 {
+	m := s.sys.Manager
+	d, c := m.AllocVdom(i%4 == 0)
+	s.total += c
+	if c, err := m.Mprotect(s.tasks[0], region(i), regionPages*pagetable.PageSize, d); err != nil {
+		s.fail(0, "setup mprotect", err)
+	} else {
+		s.total += c
+	}
+	return uint64(d)
+}
+
+func (vdomSoak) prepare(s *SoakRun) {
+	for _, t := range s.tasks {
+		c, err := s.sys.Manager.VdrAlloc(t, 0)
+		s.total += c
+		if err != nil {
+			s.fail(0, "setup vdr_alloc", err)
+		}
+	}
+}
+
+func (vdomSoak) step(s *SoakRun, op int, t *kernel.Task, di, x int) {
+	m := s.sys.Manager
+	d := core.VdomID(s.doms[di])
+	switch {
+	case x < 50: // grant, then touch a page of the region
+		perm := core.VPermReadWrite
+		if x < 10 {
+			perm = core.VPermRead
+		}
+		c, err := m.WrVdr(t, d, perm)
+		s.total += c
+		if err != nil {
+			s.fail(op, fmt.Sprintf("wrvdr grant vdom %d", d), err)
+			break
+		}
+		addr := s.pageOf(di)
+		write := perm == core.VPermReadWrite && s.r.Intn(2) == 0
+		c, err = t.Access(addr, write)
+		s.total += c
+		if err != nil {
+			s.fail(op, fmt.Sprintf("access vdom %d at %#x", d, uint64(addr)), err)
+		}
+	case x < 65: // revoke (sometimes pinning)
+		perm := core.VPermNone
+		if x < 55 {
+			perm = core.VPermPinned
+		}
+		c, err := m.WrVdr(t, d, perm)
+		s.total += c
+		if err != nil {
+			s.fail(op, fmt.Sprintf("wrvdr revoke vdom %d", d), err)
+		}
+	case x < 75: // free the vdom, rebind its region to a fresh one
+		c, err := m.FreeVdom(d)
+		s.total += c
+		if err != nil {
+			s.fail(op, fmt.Sprintf("free vdom %d", d), err)
+			break
+		}
+		nd, c := m.AllocVdom(s.r.Intn(4) == 0)
+		s.total += c
+		c, err = m.Mprotect(t, region(di), regionPages*pagetable.PageSize, nd)
+		s.total += c
+		if err != nil {
+			s.fail(op, fmt.Sprintf("mprotect vdom %d", nd), err)
+			break
+		}
+		s.doms[di] = uint64(nd)
+	case x < 83: // spread the thread into a fresh VDS
+		c, err := m.PlaceInNewVDS(t)
+		s.total += c
+		// A typed resource failure here is tolerated: the caller's
+		// recovery is simply staying in its current VDS.
+		if err != nil && !errors.Is(err, core.ErrNoResources) && !errors.Is(err, core.ErrExhausted) {
+			s.fail(op, "place_in_new_vds", err)
+		}
+	case x < 90: // VDR churn (exercises the base-ASID restore)
+		c, err := m.VdrFree(t)
+		s.total += c
+		if err != nil {
+			s.fail(op, "vdr_free", err)
+			break
+		}
+		c, err = m.VdrAlloc(t, 0)
+		s.total += c
+		if err != nil {
+			s.fail(op, "vdr_alloc", err)
+		}
+	case x < 96: // kswapd pressure, plus VDS garbage collection
+		s.reclaim(t)
+		reaped := m.ReapVDSes()
+		if s.rec != nil {
+			s.rec.Reap(reaped)
+		}
+	default: // unprotected access
+		s.plainAccess(op, t)
+	}
+}
+
+func (vdomSoak) finish(s *SoakRun) { s.res.CoreStats = s.sys.Manager.Stats }
+
+// dptiSoak drives the per-domain-page-table baseline. The injector
+// reaches only the machine and the kernel — DPTI has no manager-level
+// fault hooks — so the fault mix is the hardware/kernel subset (IPI drops
+// and delays, stale TLB entries, ASID exhaustion, spurious faults). ASID
+// exhaustion is DPTI's characteristic failure: materializing a domain
+// table needs a free ASID, and when the injector withholds them the
+// degradation path is simply staying in the base address space.
+type dptiSoak struct{}
+
+func (dptiSoak) header(cfg SoakConfig) replay.Header {
+	return replay.Header{
+		Kernel: replay.KernelDPTI,
+		ConfigDigest: replay.DigestString(fmt.Sprintf(
+			"dpti-chaos-soak|arch=%s|cores=%d|threads=%d|doms=%d|ops=%d|chaos=%+v",
+			replay.ArchName(cfg.Arch), cfg.Cores, cfg.Threads, cfg.Vdoms, cfg.Ops, cfg.Chaos)),
+	}
+}
+
+func (dptiSoak) bind(s *SoakRun, i int) uint64 {
+	m := s.sys.DPTI
+	d, c := m.AllocDomain()
+	s.total += c
+	if c, err := m.Protect(s.tasks[0], region(i), regionPages*pagetable.PageSize, d); err != nil {
+		s.fail(0, "setup protect", err)
+	} else {
+		s.total += c
+	}
+	return uint64(d)
+}
+
+func (dptiSoak) prepare(*SoakRun) {}
+
+// enter switches t into d, tolerating ASID exhaustion: when the injector
+// has drained the ASID pool the task simply stays in the base address
+// space. Reports whether the task is inside d afterwards.
+func (dptiSoak) enter(s *SoakRun, op int, t *kernel.Task, d dpti.DomainID) bool {
+	c, err := s.sys.DPTI.Enter(t, d)
+	s.total += c
+	if err == nil {
+		return true
+	}
+	if !errors.Is(err, dpti.ErrNoASID) {
+		s.fail(op, fmt.Sprintf("enter domain %d", d), err)
+	}
+	return false
+}
+
+func (k dptiSoak) step(s *SoakRun, op int, t *kernel.Task, di, x int) {
+	m := s.sys.DPTI
+	d := dpti.DomainID(s.doms[di])
+	switch {
+	case x < 45: // enter, then touch a page of the region
+		if !k.enter(s, op, t, d) {
+			break
+		}
+		addr := s.pageOf(di)
+		c, err := t.Access(addr, s.r.Intn(2) == 0)
+		s.total += c
+		if err != nil {
+			s.fail(op, fmt.Sprintf("access domain %d at %#x", d, uint64(addr)), err)
+		}
+	case x < 58: // exit back to the base address space
+		c, err := m.Exit(t)
+		s.total += c
+		if err != nil {
+			s.fail(op, "exit", err)
+		}
+	case x < 70: // free the domain, rebind its region to a fresh one
+		c, err := m.FreeDomain(t, d)
+		s.total += c
+		if err != nil {
+			s.fail(op, fmt.Sprintf("free domain %d", d), err)
+			break
+		}
+		nd, c := m.AllocDomain()
+		s.total += c
+		c, err = m.Protect(t, region(di), regionPages*pagetable.PageSize, nd)
+		s.total += c
+		if err != nil {
+			s.fail(op, fmt.Sprintf("protect domain %d", nd), err)
+			break
+		}
+		s.doms[di] = uint64(nd)
+	case x < 80: // retag one page (exercises the eager-revocation walk)
+		c, err := m.Protect(t, s.pageOf(di), pagetable.PageSize, d)
+		s.total += c
+		if err != nil {
+			s.fail(op, fmt.Sprintf("retag domain %d", d), err)
+		}
+	case x < 88: // unprotected access (valid inside or outside a domain)
+		s.plainAccess(op, t)
+	case x < 95: // kswapd pressure
+		s.reclaim(t)
+	default: // direct domain-to-domain switch, then exit
+		if k.enter(s, op, t, dpti.DomainID(s.doms[(di+1)%len(s.doms)])) {
+			c, err := m.Exit(t)
+			s.total += c
+			if err != nil {
+				s.fail(op, "exit", err)
+			}
+		}
+	}
+}
+
+func (dptiSoak) finish(s *SoakRun) {
+	if s.cfg.Metrics != nil {
+		s.sys.DPTI.Stats.Emit(s.cfg.Metrics.Add)
+	}
 }

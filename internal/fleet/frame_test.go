@@ -8,7 +8,6 @@ import (
 	"io"
 	"reflect"
 	"testing"
-	"time"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -144,30 +143,5 @@ func TestResultDigestRejectsCorruption(t *testing.T) {
 	corrupt[3] ^= 0x01
 	if _, err := DecodeResult(corrupt); !errors.Is(err, ErrBadDigest) && !errors.Is(err, ErrBadRecord) && !errors.Is(err, ErrTruncated) {
 		t.Fatalf("corrupt decode = %v, want a typed sentinel", err)
-	}
-}
-
-func TestBackoffDeterministic(t *testing.T) {
-	base, cap := 10*time.Millisecond, 2*time.Second
-	want := []time.Duration{
-		0,
-		10 * time.Millisecond,
-		20 * time.Millisecond,
-		40 * time.Millisecond,
-		80 * time.Millisecond,
-	}
-	for failures, w := range want {
-		if got := Backoff(base, cap, failures); got != w {
-			t.Fatalf("Backoff(%d) = %v, want %v", failures, got, w)
-		}
-	}
-	if got := Backoff(base, cap, 60); got != cap {
-		t.Fatalf("Backoff(60) = %v, want cap %v", got, cap)
-	}
-	// Jitter-free: the schedule is a pure function of the attempt.
-	for i := 0; i < 3; i++ {
-		if Backoff(base, cap, 3) != 40*time.Millisecond {
-			t.Fatal("Backoff is not deterministic")
-		}
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // JobPanic is the panic value Do re-raises when a job panics: the
@@ -135,6 +136,22 @@ func runWrapped(i int, job func(int)) {
 		}
 	}()
 	job(i)
+}
+
+// Backoff is the deterministic, jitter-free delay before retry n
+// (1-based): min(base<<(n-1), cap), and 0 for n <= 0. No jitter means a
+// replayed fault schedule replays the exact recovery timeline too. The
+// serve supervisor's restore retries and the fleet coordinator's cell
+// reassignments both wait on it.
+func Backoff(base, cap time.Duration, n int) time.Duration {
+	if n <= 0 {
+		return 0
+	}
+	d := base
+	for i := 1; i < n && d < cap; i++ {
+		d <<= 1
+	}
+	return min(d, cap)
 }
 
 // Map runs the jobs concurrently on at most `workers` goroutines and

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestWorkers(t *testing.T) {
@@ -145,4 +146,46 @@ func TestJobPanicNoDoubleWrap(t *testing.T) {
 			}
 		})
 	})
+}
+
+// TestBackoffSchedule pins the retry curve: doubling from base, then
+// flat at the cap.
+func TestBackoffSchedule(t *testing.T) {
+	base, cap := 10*time.Millisecond, 60*time.Millisecond
+	want := []time.Duration{
+		10 * time.Millisecond, 20 * time.Millisecond, 40 * time.Millisecond,
+		60 * time.Millisecond, 60 * time.Millisecond,
+	}
+	for i, w := range want {
+		if got := Backoff(base, cap, i+1); got != w {
+			t.Errorf("Backoff(%d) = %v, want %v", i+1, got, w)
+		}
+	}
+}
+
+// TestBackoffDeterministic checks the no-retry case, a long run that
+// must sit at the cap, and that the delay is a pure function of n.
+func TestBackoffDeterministic(t *testing.T) {
+	base, cap := 10*time.Millisecond, 2*time.Second
+	want := []time.Duration{
+		0,
+		10 * time.Millisecond,
+		20 * time.Millisecond,
+		40 * time.Millisecond,
+		80 * time.Millisecond,
+	}
+	for failures, w := range want {
+		if got := Backoff(base, cap, failures); got != w {
+			t.Fatalf("Backoff(%d) = %v, want %v", failures, got, w)
+		}
+	}
+	if got := Backoff(base, cap, 60); got != cap {
+		t.Fatalf("Backoff(60) = %v, want cap %v", got, cap)
+	}
+	// Jitter-free: the schedule is a pure function of the attempt.
+	for i := 0; i < 3; i++ {
+		if Backoff(base, cap, 3) != 40*time.Millisecond {
+			t.Fatal("Backoff is not deterministic")
+		}
+	}
 }

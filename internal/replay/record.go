@@ -2,12 +2,8 @@ package replay
 
 import (
 	"vdom/internal/backend"
-	"vdom/internal/core"
 	"vdom/internal/cycles"
-	"vdom/internal/dpti"
-	"vdom/internal/epk"
 	"vdom/internal/kernel"
-	"vdom/internal/libmpk"
 	"vdom/internal/pagetable"
 	"vdom/internal/tap"
 )
@@ -15,9 +11,8 @@ import (
 // Recorder captures a domain-op trace by tapping the instrumented
 // layers. Every layer — the kernel's syscall boundary and every
 // registered backend's domain API — feeds the single unified TapEvent
-// sink; attach whichever layers the workload uses (AttachSystem wires a
-// whole booted Instance in one call), then drive the workload and call
-// Finish.
+// sink; attach the booted system with AttachSystem, then drive the
+// workload and call Finish.
 //
 // The simulation is cooperatively scheduled — exactly one simulated
 // process runs at a time — so taps fire strictly sequentially and the
@@ -27,9 +22,9 @@ type Recorder struct {
 	events []Event
 	clock  uint64
 
-	// sys accumulates the attached layers so Finish can compute the end
-	// state; it is not necessarily a fully booted system.
-	sys System
+	// sys is the attached instance Finish computes the end state of
+	// (nil until AttachSystem).
+	sys *System
 }
 
 // NewRecorder starts a recording described by hdr (Version is forced to
@@ -115,51 +110,17 @@ var opOfTap = map[tap.Op]Op{
 }
 
 // AttachSystem taps every layer a booted instance carries: the kernel's
-// syscall boundary plus the present backend's domain API.
+// syscall boundary (mmap/munmap/mprotect, accesses, scheduler dispatch)
+// plus the present backend's domain API. Finish reads the end state of
+// the last instance attached.
 func (r *Recorder) AttachSystem(sys *System) {
+	r.sys = sys
 	if sys.Kernel != nil {
-		r.AttachKernel(sys.Kernel)
+		sys.Kernel.SetTap(r.TapEvent)
 	}
-	for _, b := range backend.All() {
-		if b.Present(sys) {
-			b.AttachTap(sys, r.TapEvent)
-		}
+	if b := backend.Of(sys); b != nil {
+		b.AttachTap(sys, r.TapEvent)
 	}
-	r.sys.Manager = sys.Manager
-	r.sys.Libmpk = sys.Libmpk
-	r.sys.EPK = sys.EPK
-	r.sys.DPTI = sys.DPTI
-}
-
-// AttachKernel taps the kernel's syscall boundary (mmap/munmap/mprotect,
-// accesses, scheduler dispatch).
-func (r *Recorder) AttachKernel(k *kernel.Kernel) {
-	r.sys.Kernel = k
-	k.SetTap(r.TapEvent)
-}
-
-// AttachManager taps the VDom core's public API.
-func (r *Recorder) AttachManager(m *core.Manager) {
-	r.sys.Manager = m
-	m.SetTap(r.TapEvent)
-}
-
-// AttachLibmpk taps the libmpk baseline's public API.
-func (r *Recorder) AttachLibmpk(m *libmpk.Manager) {
-	r.sys.Libmpk = m
-	m.SetTap(r.TapEvent)
-}
-
-// AttachEPK taps the EPK system's domain switches.
-func (r *Recorder) AttachEPK(s *epk.System) {
-	r.sys.EPK = s
-	s.SetTap(r.TapEvent)
-}
-
-// AttachDPTI taps the DPTI baseline's public API.
-func (r *Recorder) AttachDPTI(m *dpti.Manager) {
-	r.sys.DPTI = m
-	m.SetTap(r.TapEvent)
 }
 
 // Spawn records a task creation. Workloads call it right after NewTask;
@@ -199,7 +160,7 @@ func (r *Recorder) Finish() *Trace {
 	return &Trace{
 		Header: r.hdr,
 		Events: r.events,
-		End:    EndState(r.clock, &r.sys),
+		End:    EndState(r.clock, r.sys),
 	}
 }
 

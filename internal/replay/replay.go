@@ -119,14 +119,7 @@ func replayFrom(t *Trace, sys *System, tasks map[uint64]*kernel.Task, startClock
 		opt.Setup(sys)
 	}
 	clock := startClock
-	if sys.Kernel != nil {
-		sys.Kernel.SetMetrics(opt.Metrics)
-	}
-	for _, b := range backend.All() {
-		if b.Present(sys) {
-			b.SetMetrics(sys, opt.Metrics)
-		}
-	}
+	sys.SetMetrics(opt.Metrics)
 	if sys.Manager != nil && opt.Trace != nil {
 		tr := opt.Trace
 		sys.Manager.SetTracer(func(e core.Event) {
@@ -480,14 +473,15 @@ func SpecFromHeader(h Header) backend.Spec {
 // replays of the same kernel kind produce comparable maps.
 func EndState(clock uint64, sys *System) map[string]uint64 {
 	end := map[string]uint64{"clock": clock}
+	if sys == nil {
+		return end
+	}
 	emit := func(name string, v uint64) { end[name] = v }
 	if sys.Kernel != nil {
 		sys.Kernel.EmitMetrics(emit)
 	}
-	for _, b := range backend.All() {
-		if b.Present(sys) {
-			b.EmitEnd(sys, emit)
-		}
+	if b := backend.Of(sys); b != nil {
+		b.EmitEnd(sys, emit)
 	}
 	return end
 }

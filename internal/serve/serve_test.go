@@ -391,17 +391,3 @@ func TestHealthJSON(t *testing.T) {
 		t.Errorf("state rollups wrong: %v", buf.String())
 	}
 }
-
-// TestBackoffSchedule pins the deterministic, jitter-free retry curve.
-func TestBackoffSchedule(t *testing.T) {
-	s := &Supervisor{cfg: Config{BackoffBase: 10 * time.Millisecond, BackoffCap: 60 * time.Millisecond}}
-	want := []time.Duration{
-		10 * time.Millisecond, 20 * time.Millisecond, 40 * time.Millisecond,
-		60 * time.Millisecond, 60 * time.Millisecond,
-	}
-	for i, w := range want {
-		if got := s.backoff(i + 1); got != w {
-			t.Errorf("backoff(%d) = %v, want %v", i+1, got, w)
-		}
-	}
-}

@@ -304,7 +304,7 @@ func (s *Supervisor) recover(ctx context.Context) {
 		}
 		s.serveReg.Add("serve/retries", 1)
 		s.note(func(h *ShardHealth) { h.Retries++ })
-		time.Sleep(s.backoff(attempt))
+		time.Sleep(par.Backoff(s.cfg.BackoffBase, s.cfg.BackoffCap, attempt))
 	}
 }
 
@@ -383,19 +383,6 @@ func firstDelta(got, want []string) string {
 		return "missing: " + want[j]
 	}
 	return "none"
-}
-
-// backoff is the deterministic, jitter-free retry schedule:
-// min(BackoffBase << (attempt-1), BackoffCap).
-func (s *Supervisor) backoff(attempt int) time.Duration {
-	d := s.cfg.BackoffBase
-	for i := 1; i < attempt && d < s.cfg.BackoffCap; i++ {
-		d <<= 1
-	}
-	if d > s.cfg.BackoffCap {
-		d = s.cfg.BackoffCap
-	}
-	return d
 }
 
 // checkpoint takes the cadence checkpoint through the pressure model:

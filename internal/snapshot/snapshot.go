@@ -34,6 +34,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"sort"
 
 	"vdom/internal/backend"
 	"vdom/internal/hw"
@@ -84,6 +85,49 @@ type Meta struct {
 	// EventIndex is the number of trace events recorded before the
 	// checkpoint: tail recovery replays Events[EventIndex:].
 	EventIndex int
+}
+
+// metaWire is the meta section's payload: Meta with the header's Extra
+// map moved into a key-sorted slice. gob writes a map in iteration order,
+// so encoding the map itself would make two encodings of one State differ.
+// The field names match Meta's, so a payload that still carries Extra as a
+// map decodes too.
+type metaWire struct {
+	Header     replay.Header
+	Extra      []extraEntry
+	Clock      uint64
+	EventIndex int
+}
+
+// extraEntry is one Header.Extra key/value pair.
+type extraEntry struct {
+	Key string
+	Val uint64
+}
+
+func encodeMeta(m Meta) []byte {
+	w := metaWire{Header: m.Header, Clock: m.Clock, EventIndex: m.EventIndex}
+	w.Header.Extra = nil
+	for k, v := range m.Header.Extra {
+		w.Extra = append(w.Extra, extraEntry{k, v})
+	}
+	sort.Slice(w.Extra, func(i, j int) bool { return w.Extra[i].Key < w.Extra[j].Key })
+	return gobEncode(w)
+}
+
+func decodeMeta(sec Section) (Meta, error) {
+	var w metaWire
+	if err := gobDecode(sec, &w); err != nil {
+		return Meta{}, err
+	}
+	m := Meta{Header: w.Header, Clock: w.Clock, EventIndex: w.EventIndex}
+	if len(w.Extra) > 0 {
+		m.Header.Extra = make(map[string]uint64, len(w.Extra))
+		for _, e := range w.Extra {
+			m.Header.Extra[e.Key] = e.Val
+		}
+	}
+	return m, nil
 }
 
 // Section is one named, CRC-protected payload.
@@ -340,7 +384,7 @@ func Encode(st *State) []byte {
 	buf.Write(magic[:])
 	writeUvarint(&buf, FormatVersion)
 	writeUvarint(&buf, uint64(1+len(st.Sections)))
-	writeSection(&buf, Section{Name: secMeta, Data: gobEncode(st.Meta)})
+	writeSection(&buf, Section{Name: secMeta, Data: encodeMeta(st.Meta)})
 	for _, sec := range st.Sections {
 		writeSection(&buf, sec)
 	}
@@ -404,7 +448,7 @@ func Decode(b []byte) (*State, error) {
 				return nil, fmt.Errorf("%w: duplicate meta section at offset %d", ErrBadRecord, off)
 			}
 			sawMeta = true
-			if err := gobDecode(sec, &st.Meta); err != nil {
+			if st.Meta, err = decodeMeta(sec); err != nil {
 				return nil, err
 			}
 			continue

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -126,6 +127,34 @@ func TestSnapshotContainerRoundTrip(t *testing.T) {
 	}
 	if d, ok := got.Section("beta"); !ok || len(d) != 0 {
 		t.Errorf("beta section lost")
+	}
+}
+
+// TestEncodeDeterministic encodes one State whose header carries a
+// chaos soak's Extra map many times: every encoding must be the same
+// bytes, and the map must survive the round trip.
+func TestEncodeDeterministic(t *testing.T) {
+	extra := chaos.ExtraConfig(soakCfg(3).Chaos)
+	if len(extra) < 8 {
+		t.Fatalf("fixture carries %d Extra keys, want at least 8", len(extra))
+	}
+	st := &snapshot.State{Meta: snapshot.Meta{
+		Header: replay.Header{Version: replay.FormatVersion, Kernel: replay.KernelVDom, Arch: "x86", Cores: 2, Extra: extra},
+		Clock:  99, EventIndex: 5,
+	}}
+	st.AddSection("alpha", []byte("hello"))
+	want := snapshot.Encode(st)
+	for i := 1; i < 20; i++ {
+		if got := snapshot.Encode(st); !bytes.Equal(got, want) {
+			t.Fatalf("encoding %d differs from the first", i)
+		}
+	}
+	got, err := snapshot.Decode(want)
+	if err != nil {
+		t.Fatalf("Decode: %v", err)
+	}
+	if !reflect.DeepEqual(got.Meta, st.Meta) {
+		t.Errorf("meta round trip: got %+v, want %+v", got.Meta, st.Meta)
 	}
 }
 

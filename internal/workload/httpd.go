@@ -129,7 +129,7 @@ func httpdCostsFor(arch cycles.Arch) httpdCosts {
 // RunHttpd executes one httpd configuration and reports throughput.
 func RunHttpd(cfg HttpdConfig) HttpdResult {
 	cfg.defaults()
-	pl := newPlatform(cfg.Arch, cfg.Cores, cfg.System == VDom || cfg.System == VDomLowerbound, cfg.Seed)
+	pl := newPlatform(httpdHeader(cfg, "httpd"), cfg.Record)
 	if cfg.Trace != nil {
 		pl.env.SetTracer(cfg.Trace)
 	}
@@ -141,37 +141,18 @@ func RunHttpd(cfg HttpdConfig) HttpdResult {
 	}
 	totalRequests := cfg.Clients * cfg.RequestsPerClient
 
+	mgr, lbm, esys := pl.Manager, pl.Libmpk, pl.EPK
 	var (
-		mgr     *core.Manager
-		lbm     *libmpk.Manager
 		lbmLock *sim.Resource
-		esys    *epk.System
 		edoms   *epkDomains
 		lowDom  core.VdomID
 		lowBase pagetable.VAddr
 	)
-	switch cfg.System {
-	case VDom, VDomLowerbound:
-		mgr = core.Attach(pl.proc, core.DefaultPolicy())
-	case Libmpk:
-		lbm = libmpk.Attach(pl.proc, nil)
-		lbm.SetPageMode(cfg.LibmpkMode)
+	if lbm != nil {
 		lbmLock = pl.env.NewResource(1)
-	case EPK:
-		esys = epk.New(epk.KeysPerEPT*5, epk.DefaultVMTax())
-		edoms = newEPKDomains(esys)
 	}
-	if rec := cfg.Record; rec != nil {
-		rec.AttachKernel(pl.kernel)
-		if mgr != nil {
-			rec.AttachManager(mgr)
-		}
-		if lbm != nil {
-			rec.AttachLibmpk(lbm)
-		}
-		if esys != nil {
-			rec.AttachEPK(esys)
-		}
+	if esys != nil {
+		edoms = newEPKDomains(esys)
 	}
 
 	// Spawn workers, round-robin over cores.
@@ -181,7 +162,7 @@ func RunHttpd(cfg HttpdConfig) HttpdResult {
 	}
 	workers := make([]*worker, active)
 	for i := range workers {
-		workers[i] = &worker{task: pl.proc.NewTask(i % cfg.Cores), id: i}
+		workers[i] = &worker{task: pl.Proc.NewTask(i % cfg.Cores), id: i}
 		if cfg.Record != nil {
 			cfg.Record.Spawn(workers[i].task)
 		}

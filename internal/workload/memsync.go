@@ -3,7 +3,6 @@ package workload
 import (
 	"fmt"
 
-	"vdom/internal/core"
 	"vdom/internal/cycles"
 	"vdom/internal/kernel"
 	"vdom/internal/pagetable"
@@ -103,16 +102,16 @@ func RunMemSync(cfg MemSyncConfig) MemSyncResult {
 		return MemSyncResult{Config: cfg, Defined: false}
 	}
 
-	pl := newPlatform(cfg.Arch, cfg.Cores, true, cfg.Seed)
-	mgr := core.Attach(pl.proc, core.DefaultPolicy())
+	pl := newPlatform(appHeader(VDom, cfg.Arch, cfg.Cores, cfg.Seed, "memsync", ""), nil)
+	mgr := pl.Manager
 
-	alloc := pl.proc.NewTask(0)
+	alloc := pl.Proc.NewTask(0)
 	if _, err := mgr.VdrAlloc(alloc, 2); err != nil {
 		panic(err)
 	}
 	readerTasks := make([]*kernel.Task, readers)
 	for i := range readerTasks {
-		readerTasks[i] = pl.proc.NewTask((i + 1) % cfg.Cores)
+		readerTasks[i] = pl.Proc.NewTask((i + 1) % cfg.Cores)
 		if _, err := mgr.VdrAlloc(readerTasks[i], 2); err != nil {
 			panic(err)
 		}
@@ -188,8 +187,8 @@ func RunMemSync(cfg MemSyncConfig) MemSyncResult {
 						// Outside the lock: per-address-space TLB
 						// generation / metadata maintenance plus the
 						// read itself.
-						sync := pl.kernel.Params().SyncPerPage *
-							cycles.Cost(len(pl.proc.AS().Tables()))
+						sync := pl.Kernel.Params().SyncPerPage *
+							cycles.Cost(len(pl.Proc.AS().Tables()))
 						pl.sched.Run(p, rt, func() cycles.Cost { return sync + jitter(rng, memsyncReadCycles) })
 					} else {
 						pl.sched.Run(p, rt, func() cycles.Cost {

@@ -114,46 +114,25 @@ func RunMySQL(cfg MySQLConfig) MySQLResult {
 		return res
 	}
 
-	pl := newPlatform(cfg.Arch, cfg.Cores, cfg.System == VDom, cfg.Seed)
+	pl := newPlatform(mysqlHeader(cfg, "mysql"), cfg.Record)
 	costs := mysqlCostsFor(cfg.Arch)
 	totalQueries := cfg.Clients * cfg.QueriesPerClient
 
+	mgr, lbm, esys := pl.Manager, pl.Libmpk, pl.EPK
 	var (
-		mgr       *core.Manager
-		lbm       *libmpk.Manager
 		lbmLock   *sim.Resource
-		esys      *epk.System
 		engineDom core.VdomID
 		engineKey libmpk.Vkey
+		// Under EPK, domain 0 is the engine region and domain i+1 is
+		// handler i's stack.
 		engineEPK int
 	)
 	engineLock := pl.env.NewResource(1)
-
-	switch cfg.System {
-	case VDom:
-		mgr = core.Attach(pl.proc, core.DefaultPolicy())
-	case Libmpk:
-		lbm = libmpk.Attach(pl.proc, nil)
+	if lbm != nil {
 		lbmLock = pl.env.NewResource(1)
-	case EPK:
-		// Domains: one per connection stack + the engine region.
-		esys = epk.New(cfg.Clients+1, epk.DefaultVMTax())
-		engineEPK = 0
-	}
-	if rec := cfg.Record; rec != nil {
-		rec.AttachKernel(pl.kernel)
-		if mgr != nil {
-			rec.AttachManager(mgr)
-		}
-		if lbm != nil {
-			rec.AttachLibmpk(lbm)
-		}
-		if esys != nil {
-			rec.AttachEPK(esys)
-		}
 	}
 
-	setupTask := pl.proc.NewTask(0)
+	setupTask := pl.Proc.NewTask(0)
 	if cfg.Record != nil {
 		cfg.Record.Spawn(setupTask)
 	}
@@ -178,7 +157,7 @@ func RunMySQL(cfg MySQLConfig) MySQLResult {
 
 	handlers := make([]*handler, cfg.Clients)
 	for i := range handlers {
-		h := &handler{task: pl.proc.NewTask((i + 1) % cfg.Cores), id: i}
+		h := &handler{task: pl.Proc.NewTask((i + 1) % cfg.Cores), id: i}
 		if cfg.Record != nil {
 			cfg.Record.Spawn(h.task)
 		}

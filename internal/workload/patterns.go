@@ -6,7 +6,6 @@ import (
 	"vdom/internal/core"
 	"vdom/internal/cycles"
 	"vdom/internal/dpti"
-	"vdom/internal/epk"
 	"vdom/internal/hw"
 	"vdom/internal/kernel"
 	"vdom/internal/libmpk"
@@ -184,31 +183,28 @@ func RunPattern(cfg PatternConfig) PatternResult {
 	}
 }
 
+// bootPattern boots a Table 4 cell's system from its header, taps it
+// into cfg.Record, spawns the cell's one thread (none for the standalone
+// EPK cost model), and attaches cfg.Metrics.
+func bootPattern(cfg PatternConfig) (*replay.System, *kernel.Task) {
+	sys := boot(patternHeader(cfg, "table4"))
+	if cfg.Record != nil {
+		cfg.Record.AttachSystem(sys)
+	}
+	var task *kernel.Task
+	if sys.Proc != nil {
+		task = sys.Proc.NewTask(0)
+		if cfg.Record != nil {
+			cfg.Record.Spawn(task)
+		}
+	}
+	sys.SetMetrics(cfg.Metrics)
+	return sys, task
+}
+
 func runPatternVDom(cfg PatternConfig, warmup int) PatternResult {
-	pol := core.DefaultPolicy()
-	// The paper's X86f and X86e rows use the fast API; X86s the secure
-	// call gate.
-	pol.SecureGate = cfg.System == PatternVDomSecure
-	pol.StrictLRU = cfg.StrictLRU
-	pol.NoPMDOpt = cfg.NoPMDOpt
-	if cfg.FlushThresholdPages != 0 {
-		pol.RangeFlushThresholdPages = cfg.FlushThresholdPages
-	}
-	mach := hw.NewMachine(hw.Config{Arch: cfg.Arch, NumCores: 2, TLBCapacity: 0, NoASID: cfg.NoASID})
-	k := kernel.New(kernel.Config{Machine: mach, VDomEnabled: true})
-	proc := k.NewProcess()
-	mgr := core.Attach(proc, pol)
-	rec := cfg.Record
-	if rec != nil {
-		rec.AttachKernel(k)
-		rec.AttachManager(mgr)
-	}
-	task := proc.NewTask(0)
-	if rec != nil {
-		rec.Spawn(task)
-	}
-	k.SetMetrics(cfg.Metrics)
-	mgr.SetMetrics(cfg.Metrics)
+	sys, task := bootPattern(cfg)
+	proc, mgr, rec := sys.Proc, sys.Manager, cfg.Record
 
 	// grand is the cell's cumulative cycle clock; every observed cost is
 	// funnelled through add so PatternResult.TotalCycles and the trace
@@ -325,7 +321,7 @@ func runPatternVDom(cfg PatternConfig, warmup int) PatternResult {
 		}
 	}
 	if cfg.Metrics != nil {
-		cfg.Metrics.Accumulate(mach, proc.AS(), k)
+		cfg.Metrics.Accumulate(sys.Machine, proc.AS(), sys.Kernel)
 	}
 	return PatternResult{
 		Config:         cfg,
@@ -337,21 +333,8 @@ func runPatternVDom(cfg PatternConfig, warmup int) PatternResult {
 }
 
 func runPatternLibmpk(cfg PatternConfig, warmup int) PatternResult {
-	mach := hw.NewMachine(hw.Config{Arch: cfg.Arch, NumCores: 2, TLBCapacity: 0})
-	k := kernel.New(kernel.Config{Machine: mach, VDomEnabled: false})
-	proc := k.NewProcess()
-	m := libmpk.Attach(proc, nil)
-	rec := cfg.Record
-	if rec != nil {
-		rec.AttachKernel(k)
-		rec.AttachLibmpk(m)
-	}
-	task := proc.NewTask(0)
-	if rec != nil {
-		rec.Spawn(task)
-	}
-	k.SetMetrics(cfg.Metrics)
-	m.SetMetrics(cfg.Metrics)
+	sys, task := bootPattern(cfg)
+	proc, m, rec := sys.Proc, sys.Libmpk, cfg.Record
 
 	var grand uint64
 	add := func(c cycles.Cost) cycles.Cost { grand += uint64(c); return c }
@@ -409,28 +392,15 @@ func runPatternLibmpk(cfg PatternConfig, warmup int) PatternResult {
 		}
 	}
 	if cfg.Metrics != nil {
-		cfg.Metrics.Accumulate(mach, proc.AS(), k)
+		cfg.Metrics.Accumulate(sys.Machine, proc.AS(), sys.Kernel)
 		m.Stats.Emit(cfg.Metrics.Add)
 	}
 	return PatternResult{Config: cfg, AvgCycles: float64(total) / float64(activations), Activations: activations, TotalCycles: grand}
 }
 
 func runPatternDPTI(cfg PatternConfig, warmup int) PatternResult {
-	mach := hw.NewMachine(hw.Config{Arch: cfg.Arch, NumCores: 2, TLBCapacity: 0, NoASID: cfg.NoASID})
-	k := kernel.New(kernel.Config{Machine: mach, VDomEnabled: false})
-	proc := k.NewProcess()
-	m := dpti.Attach(proc)
-	rec := cfg.Record
-	if rec != nil {
-		rec.AttachKernel(k)
-		rec.AttachDPTI(m)
-	}
-	task := proc.NewTask(0)
-	if rec != nil {
-		rec.Spawn(task)
-	}
-	k.SetMetrics(cfg.Metrics)
-	m.SetMetrics(cfg.Metrics)
+	sys, task := bootPattern(cfg)
+	proc, m, rec := sys.Proc, sys.DPTI, cfg.Record
 
 	var grand uint64
 	add := func(c cycles.Cost) cycles.Cost { grand += uint64(c); return c }
@@ -505,7 +475,7 @@ func runPatternDPTI(cfg PatternConfig, warmup int) PatternResult {
 		}
 	}
 	if cfg.Metrics != nil {
-		cfg.Metrics.Accumulate(mach, proc.AS(), k)
+		cfg.Metrics.Accumulate(sys.Machine, proc.AS(), sys.Kernel)
 		m.Stats.Emit(cfg.Metrics.Add)
 	}
 	return PatternResult{
@@ -518,17 +488,14 @@ func runPatternDPTI(cfg PatternConfig, warmup int) PatternResult {
 }
 
 func runPatternEPK(cfg PatternConfig, warmup int) PatternResult {
-	sys := epk.New(cfg.NumVdoms, epk.DefaultVMTax())
-	if cfg.Record != nil {
-		cfg.Record.AttachEPK(sys)
-	}
+	sys, _ := bootPattern(cfg)
 	idx := order(cfg.Pattern, cfg.NumVdoms)
 	var grand uint64
 	var total cycles.Cost
 	activations := 0
 	for r := 0; r < warmup+cfg.Rounds; r++ {
 		for _, i := range idx {
-			c := sys.Switch(0, i)
+			c := sys.EPK.Switch(0, i)
 			if cfg.Trace != nil {
 				cfg.Trace.Decision("ept-switch", 0, grand, uint64(c), map[string]uint64{"domain": uint64(i)})
 			}
@@ -541,7 +508,7 @@ func runPatternEPK(cfg PatternConfig, warmup int) PatternResult {
 		}
 	}
 	if cfg.Metrics != nil {
-		sys.Stats.Emit(cfg.Metrics.Add)
+		sys.EPK.Stats.Emit(cfg.Metrics.Add)
 	}
 	return PatternResult{Config: cfg, AvgCycles: float64(total) / float64(activations), Activations: activations, TotalCycles: grand}
 }

@@ -97,40 +97,17 @@ const pmoBytes = 2 << 20 // 2 MiB per PMO
 // RunPMO executes one String Replace configuration.
 func RunPMO(cfg PMOConfig) PMOResult {
 	cfg.defaults()
-	pl := newPlatform(cfg.Arch, cfg.Cores, cfg.System == VDom || cfg.System == VDomLowerbound, cfg.Seed)
+	pl := newPlatform(pmoHeader(cfg, "pmo"), cfg.Record)
 	costs := pmoCostsFor(cfg.Arch)
 
-	var (
-		mgr     *core.Manager
-		lbm     *libmpk.Manager
-		lbmLock *sim.Resource
-		esys    *epk.System
-	)
-	switch cfg.System {
-	case VDom, VDomLowerbound:
-		mgr = core.Attach(pl.proc, core.DefaultPolicy())
-	case Libmpk:
-		lbm = libmpk.Attach(pl.proc, nil)
-		lbm.SetPageMode(cfg.LibmpkMode)
+	mgr, lbm, esys := pl.Manager, pl.Libmpk, pl.EPK
+	var lbmLock *sim.Resource
+	if lbm != nil {
 		lbmLock = pl.env.NewResource(1)
-	case EPK:
-		esys = epk.New(cfg.NumPMOs, epk.DefaultVMTax())
-	}
-	if rec := cfg.Record; rec != nil {
-		rec.AttachKernel(pl.kernel)
-		if mgr != nil {
-			rec.AttachManager(mgr)
-		}
-		if lbm != nil {
-			rec.AttachLibmpk(lbm)
-		}
-		if esys != nil {
-			rec.AttachEPK(esys)
-		}
 	}
 
 	// Map and protect the PMOs.
-	setup := pl.proc.NewTask(0)
+	setup := pl.Proc.NewTask(0)
 	if cfg.Record != nil {
 		cfg.Record.Spawn(setup)
 	}
@@ -179,7 +156,7 @@ func RunPMO(cfg PMOConfig) PMOResult {
 	}
 	workers := make([]*worker, cfg.Threads)
 	for i := range workers {
-		workers[i] = &worker{task: pl.proc.NewTask((i + 1) % cfg.Cores), id: i}
+		workers[i] = &worker{task: pl.Proc.NewTask((i + 1) % cfg.Cores), id: i}
 		if cfg.Record != nil {
 			cfg.Record.Spawn(workers[i].task)
 		}

@@ -11,9 +11,10 @@ import (
 )
 
 // This file binds the paper workloads to the trace recorder: for each
-// workload family it derives a replay.Header that describes exactly the
-// platform the run boots (so replay.Run can reconstruct it), and exposes
-// the golden-trace corpus the regression tests and `vdom-bench record`
+// workload family it derives the replay.Header that is the run's only
+// platform description — the run boots from it (newPlatform, bootPattern)
+// and replay.Run reconstructs the same system from it — and exposes the
+// golden-trace corpus the regression tests and `vdom-bench record`
 // re-record.
 
 // patternHeader describes a Table 4 cell's platform. Pattern cells are
@@ -50,6 +51,8 @@ func patternHeader(cfg PatternConfig, name string) replay.Header {
 		h.Cores = 2
 		pol := core.DefaultPolicy()
 		h.Flags |= replay.HdrVDomKernel
+		// The paper's X86f and X86e rows use the fast API; X86s the
+		// secure call gate.
 		if cfg.System == PatternVDomSecure {
 			h.Flags |= replay.HdrSecureGate
 		}
@@ -72,8 +75,9 @@ func patternHeader(cfg PatternConfig, name string) replay.Header {
 }
 
 // appHeader fills the fields every application workload (httpd, pmo,
-// mysql) shares: the newPlatform machine geometry and, for VDom runs,
-// the DefaultPolicy knobs.
+// mysql, memsync) shares: the machine geometry and, for VDom runs, the
+// DefaultPolicy knobs. An Original run names no kernel kind: it boots the
+// vanilla substrate, and replay.Boot rejects its header.
 func appHeader(sys System, arch cycles.Arch, cores int, seed uint64, name, digest string) replay.Header {
 	h := replay.Header{
 		Arch:         replay.ArchName(arch),
@@ -83,6 +87,7 @@ func appHeader(sys System, arch cycles.Arch, cores int, seed uint64, name, diges
 		ConfigDigest: replay.DigestString(digest),
 	}
 	switch sys {
+	case Original:
 	case Libmpk:
 		h.Kernel = replay.KernelLibmpk
 	case EPK:
@@ -135,7 +140,13 @@ func pmoHeader(cfg PMOConfig, name string) replay.Header {
 // mysqlHeader describes one MySQL run's platform.
 func mysqlHeader(cfg MySQLConfig, name string) replay.Header {
 	cfg.defaults()
-	h := appHeader(cfg.System, cfg.Arch, cfg.Cores, cfg.Seed, name, fmt.Sprintf(
+	sys := cfg.System
+	if sys == VDomLowerbound {
+		// The MySQL model has no lowerbound variant: it runs the cell
+		// unprotected.
+		sys = Original
+	}
+	h := appHeader(sys, cfg.Arch, cfg.Cores, cfg.Seed, name, fmt.Sprintf(
 		"mysql|arch=%s|sys=%d|clients=%d|queries=%d|stmts=%d|churn=%d|cores=%d|seed=%#x",
 		replay.ArchName(cfg.Arch), cfg.System, cfg.Clients, cfg.QueriesPerClient,
 		cfg.StatementsPerQuery, cfg.ChurnEvery, cfg.Cores, cfg.Seed))

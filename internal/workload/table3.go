@@ -1,13 +1,14 @@
 package workload
 
 import (
+	"vdom/internal/backend"
 	"vdom/internal/core"
 	"vdom/internal/cycles"
 	"vdom/internal/epk"
-	"vdom/internal/hw"
 	"vdom/internal/kernel"
 	"vdom/internal/pagetable"
 	"vdom/internal/par"
+	"vdom/internal/replay"
 )
 
 // Table3Row is one measured row of Table 3 ("Average cycles of common
@@ -92,17 +93,19 @@ type t3fixture struct {
 }
 
 func newT3(arch cycles.Arch, secure bool, nas int) *t3fixture {
-	mach := hw.NewMachine(hw.Config{Arch: arch, NumCores: 2, TLBCapacity: 0})
-	k := kernel.New(kernel.Config{Machine: mach, VDomEnabled: true})
-	proc := k.NewProcess()
-	pol := core.DefaultPolicy()
-	pol.SecureGate = secure
-	mgr := core.Attach(proc, pol)
-	task := proc.NewTask(0)
-	if _, err := mgr.VdrAlloc(task, nas); err != nil {
+	// Zero FlushThreshold and Nas take the DefaultPolicy values.
+	spec := backend.Spec{Arch: arch, Cores: 2, VDomKernel: true, SecureGate: secure}
+	sys := &backend.Instance{}
+	backend.BootSubstrate(sys, spec)
+	b, _ := backend.Get(replay.KernelVDom)
+	if err := b.Attach(sys, spec); err != nil {
 		panic(err)
 	}
-	return &t3fixture{proc: proc, mgr: mgr, task: task, next: 0x40_0000_0000}
+	task := sys.Proc.NewTask(0)
+	if _, err := sys.Manager.VdrAlloc(task, nas); err != nil {
+		panic(err)
+	}
+	return &t3fixture{proc: sys.Proc, mgr: sys.Manager, task: task, next: 0x40_0000_0000}
 }
 
 // region maps and protects `bytes` under a fresh vdom, fully populated.

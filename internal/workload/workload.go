@@ -20,12 +20,14 @@ package workload
 import (
 	"fmt"
 
+	"vdom/internal/backend"
 	"vdom/internal/cycles"
 	"vdom/internal/epk"
 	"vdom/internal/hw"
 	"vdom/internal/kernel"
 	"vdom/internal/libmpk"
 	"vdom/internal/pagetable"
+	"vdom/internal/replay"
 	"vdom/internal/sim"
 )
 
@@ -99,30 +101,51 @@ func DefaultCores(arch cycles.Arch) int {
 	}
 }
 
-// platform bundles one booted machine + kernel + process for a workload.
+// platform is one booted system plus the simulation environment that
+// drives a workload's threads on it.
 type platform struct {
-	machine *hw.Machine
-	kernel  *kernel.Kernel
-	proc    *kernel.Process
-	env     *sim.Env
-	sched   *kernel.Sched
-	rng     *sim.Rand
-	next    pagetable.VAddr
+	*replay.System
+	env   *sim.Env
+	sched *kernel.Sched
+	next  pagetable.VAddr
 }
 
-func newPlatform(arch cycles.Arch, cores int, vdomKernel bool, seed uint64) *platform {
-	m := hw.NewMachine(hw.Config{Arch: arch, NumCores: cores, TLBCapacity: 0})
-	k := kernel.New(kernel.Config{Machine: m, VDomEnabled: vdomKernel})
+// newPlatform boots the platform h describes and, when rec is non-nil,
+// taps every layer of it into the recording.
+func newPlatform(h replay.Header, rec *replay.Recorder) *platform {
+	sys := boot(h)
+	if rec != nil {
+		rec.AttachSystem(sys)
+	}
 	env := sim.NewEnv()
 	return &platform{
-		machine: m,
-		kernel:  k,
-		proc:    k.NewProcess(),
-		env:     env,
-		sched:   kernel.NewSched(env, k),
-		rng:     sim.NewRand(seed),
-		next:    0x20_0000_0000,
+		System: sys,
+		env:    env,
+		sched:  kernel.NewSched(env, sys.Kernel),
+		next:   0x20_0000_0000,
 	}
+}
+
+// boot builds the system a workload header describes through the backend
+// registry. A header with no kernel kind is an unprotected run: the
+// vanilla substrate alone, with no domain layer to replay.
+func boot(h replay.Header) *replay.System {
+	if h.Kernel == "" {
+		spec := replay.SpecFromHeader(h)
+		arch, err := replay.ArchFromName(h.Arch)
+		if err != nil {
+			panic(fmt.Sprintf("workload: boot: %v", err))
+		}
+		spec.Arch = arch
+		sys := &replay.System{}
+		backend.BootSubstrate(sys, spec)
+		return sys
+	}
+	sys, err := replay.Boot(h)
+	if err != nil {
+		panic(fmt.Sprintf("workload: boot: %v", err))
+	}
+	return sys
 }
 
 // alloc reserves a PMD-separated virtual region of `bytes` (page-aligned
