@@ -8,7 +8,9 @@
 //     API) must carry a doc comment.
 //  2. Every package under internal/ must have a package comment.
 //  3. Every package under internal/ must appear in DESIGN.md's §3
-//     module map, so the map cannot silently drift from the tree.
+//     module map, and every internal/<pkg> the map names must be a
+//     package in the tree, so the map cannot silently drift from it in
+//     either direction.
 //  4. Every top-level *.md file must be reachable from README.md
 //     through the mention graph (file A links to B when A's text names
 //     B), so no document becomes an orphan no reader can find.
@@ -31,6 +33,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strings"
 )
@@ -192,7 +195,9 @@ func lintPackageComment(dir string) []string {
 
 // lintModuleMap requires every internal/* package to appear (as an
 // `internal/<path>` mention) in DESIGN.md's "System inventory (module
-// map)" section, keeping the map in lockstep with the package tree.
+// map)" section, and every such mention to name a package that exists
+// (or a path inside one), keeping the map in lockstep with the package
+// tree: a row left behind by a deleted package fails like a missing one.
 func lintModuleMap(root string, pkgDirs []string) []string {
 	path := filepath.Join(root, "DESIGN.md")
 	data, err := os.ReadFile(path)
@@ -204,17 +209,39 @@ func lintModuleMap(root string, pkgDirs []string) []string {
 		return []string{fmt.Sprintf("%s:1: no \"module map\" section found", path)}
 	}
 	var out []string
-	for _, dir := range pkgDirs {
+	pkgs := make([]string, len(pkgDirs))
+	for i, dir := range pkgDirs {
 		rel, err := filepath.Rel(root, dir)
 		if err != nil {
 			rel = dir
 		}
-		rel = filepath.ToSlash(rel)
-		if !strings.Contains(section, rel) {
-			out = append(out, fmt.Sprintf("%s:%d: module map is missing package %s", path, line, rel))
+		pkgs[i] = filepath.ToSlash(rel)
+		if !strings.Contains(section, pkgs[i]) {
+			out = append(out, fmt.Sprintf("%s:%d: module map is missing package %s", path, line, pkgs[i]))
+		}
+	}
+	for i, l := range strings.Split(section, "\n") {
+		for _, m := range internalMention.FindAllString(l, -1) {
+			if !namesPackage(strings.TrimSuffix(m, "/"), pkgs) {
+				out = append(out, fmt.Sprintf("%s:%d: module map names %s, which is not a package", path, line+i, m))
+			}
 		}
 	}
 	return out
+}
+
+// internalMention matches an `internal/<path>` mention in prose.
+var internalMention = regexp.MustCompile(`internal/[A-Za-z0-9_/]+`)
+
+// namesPackage reports whether mention is one of pkgs or a path inside
+// one of them.
+func namesPackage(mention string, pkgs []string) bool {
+	for _, p := range pkgs {
+		if mention == p || strings.HasPrefix(mention, p+"/") {
+			return true
+		}
+	}
+	return false
 }
 
 // moduleMapSection returns the body of the DESIGN.md section whose

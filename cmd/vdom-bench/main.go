@@ -15,31 +15,11 @@
 //	           [-snap-write-fail P] [-snap-corrupt P]
 //	           [-health-out FILE] [-health-every D]
 //	           [-require-recoveries N] [-perf-out FILE] [-against FILE]
-//	           [-perf-threshold F] [-fleet N] [-fleet-report FILE]
-//	           [-fleet-faults SPEC] [-fleet-kill N]
-//	           [-fleet-cell-timeout D] [experiment]
+//	           [-perf-threshold F] [experiment]
 //
 // Experiments: fig1, table1, table2, table3, table4, table5, tables, fig5,
 // fig6, fig7, unixbench, ctxswitch, ablation, matrix, chaos, snapshot,
 // serve, recover, record, replay, scenario, perf, compare, all (default).
-// The `worker` subcommand is not an experiment: it serves the
-// vdom-fleet/v1 worker protocol on stdin/stdout for a coordinating
-// vdom-bench process and is normally spawned by -fleet, never by hand.
-//
-// -fleet N shards every distributable experiment grid across N worker
-// subprocesses (this binary re-exec'd as `vdom-bench worker`) instead of
-// the in-process pool; rendered output stays byte-identical to any
-// -parallel run — worker death (kill -9, panic, heartbeat stall past
-// -fleet-cell-timeout) is absorbed by reassignment with bounded retries,
-// and cells that fail persistently are quarantined and reported.
-// -fleet-report writes the machine-readable vdom-fleet-report/v1 outcome;
-// the run exits non-zero only when the quarantine list is non-empty.
-// -fleet-faults enables the seeded transport-fault injector (e.g.
-// "seed=42,corrupt=0.01,truncate=0.005,duplicate=0.01,delay=0.05") and
-// -fleet-kill N SIGKILLs one busy worker after N merged cells — both are
-// CI chaos hooks that must not change a byte of output. With -fleet, a
-// -require-recoveries N asserts the fleet self-healed at least N times.
-// See FLEET.md for the frame spec and the recovery ladder.
 //
 // `scenario` runs a declared vdom-scenario/v1 workload (see SCENARIOS.md):
 // -scenario names the spec file, -kernel narrows the kernel sweep to one
@@ -106,14 +86,12 @@ import (
 	"os/signal"
 	"runtime"
 	"sort"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
 
 	"vdom"
 	"vdom/internal/bench"
-	"vdom/internal/fleet"
 	"vdom/internal/metrics"
 	"vdom/internal/perf"
 )
@@ -158,11 +136,6 @@ func main() {
 	healthOut := flag.String("health-out", "", "serve: write the JSON health report here (rewritten every -health-every, finalized on exit)")
 	healthEvery := flag.Duration("health-every", 5*time.Second, "serve: health report cadence")
 	requireRecoveries := flag.Int("require-recoveries", 0, "serve: fail unless at least this many recoveries completed (CI self-healing assertion)")
-	fleetN := flag.Int("fleet", 0, "shard experiment grids across N vdom-bench worker subprocesses (0: in-process pool; output stays byte-identical, see FLEET.md)")
-	fleetReport := flag.String("fleet-report", "", "fleet: write the machine-readable vdom-fleet-report/v1 JSON to this file")
-	fleetFaults := flag.String("fleet-faults", "", "fleet: seeded transport-fault injection spec, e.g. seed=42,corrupt=0.01,truncate=0.005,duplicate=0.01,delay=0.05")
-	fleetKill := flag.Int("fleet-kill", 0, "fleet: chaos hook — SIGKILL one busy worker after N merged cells (0: off)")
-	fleetCellTimeout := flag.Duration("fleet-cell-timeout", 0, "fleet: reassign a cell whose worker heartbeat stalls this long (0: default 60s)")
 	perfOut := flag.String("perf-out", "", "perf: write the vdom-perf/v1 report to this file (default: stdout)")
 	against := flag.String("against", "", "perf: compare against this committed vdom-perf/v1 baseline (e.g. BENCH_7.json), exiting non-zero on regression")
 	perfThreshold := flag.Float64("perf-threshold", 0.15, "perf: normalized-rate drop beyond which -against fails")
@@ -195,8 +168,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "  perf       fixed perf suite: machine-normalized vdom-perf/v1 report, optional -against baseline diff\n")
 		fmt.Fprintf(os.Stderr, "  compare    measured-vs-paper deviation report\n")
 		fmt.Fprintf(os.Stderr, "  all        everything (default)\n")
-		fmt.Fprintf(os.Stderr, "\nsubcommands:\n")
-		fmt.Fprintf(os.Stderr, "  worker     serve the vdom-fleet/v1 worker protocol on stdin/stdout (spawned by -fleet)\n")
 	}
 	flag.Parse()
 
@@ -263,48 +234,6 @@ func main() {
 		defer stop()
 	}
 	o.Ctx = ctx
-
-	if exp == "worker" {
-		// Serve the fleet worker protocol: assignments in on stdin, results
-		// out on stdout, everything human on stderr. The worker id arrives
-		// in the environment from the coordinator's spawn.
-		id := 0
-		if s := os.Getenv("VDOM_FLEET_WORKER"); s != "" {
-			id, _ = strconv.Atoi(s)
-		}
-		if err := fleet.Worker(os.Stdin, os.Stdout, fleet.WorkerConfig{ID: id},
-			bench.Executor(bench.Options{Ctx: ctx})); err != nil {
-			fmt.Fprintln(os.Stderr, "vdom-bench: worker:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	var fleetRun *bench.FleetRun
-	if *fleetN > 0 && exp != "serve" {
-		faults, err := parseFleetFaults(*fleetFaults)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "vdom-bench:", err)
-			os.Exit(2)
-		}
-		exe, err := os.Executable()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "vdom-bench: locating worker binary:", err)
-			os.Exit(1)
-		}
-		fleetRun = &bench.FleetRun{
-			Workers:     *fleetN,
-			Spawn:       fleet.SpawnProcess([]string{exe, "worker"}),
-			Faults:      faults,
-			CellTimeout: *fleetCellTimeout,
-			KillAfter:   *fleetKill,
-			Logf: func(format string, args ...any) {
-				// Coordinator lines already carry a "fleet:" prefix.
-				fmt.Fprintf(os.Stderr, "vdom-bench: "+format+"\n", args...)
-			},
-		}
-		o.FleetRun = fleetRun
-	}
 
 	w := os.Stdout
 	switch exp {
@@ -402,37 +331,15 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	if fleetRun != nil {
-		rep := fleetRun.Report()
-		if *fleetReport != "" {
-			if err := writeFile(*fleetReport, rep.WriteJSON); err != nil {
-				fmt.Fprintln(os.Stderr, "vdom-bench: writing fleet report:", err)
-				os.Exit(1)
-			}
-		}
-		if rep.Degraded {
-			fmt.Fprintln(os.Stderr, "vdom-bench: fleet: degraded to in-process pool (no worker could be spawned)")
-		}
-		if *requireRecoveries > 0 && rep.Recoveries < *requireRecoveries {
-			fmt.Fprintf(os.Stderr, "vdom-bench: fleet: %d recoveries, -require-recoveries %d not met\n",
-				rep.Recoveries, *requireRecoveries)
-			os.Exit(1)
-		}
-		if !rep.Healthy() {
-			fmt.Fprintf(os.Stderr, "vdom-bench: fleet: %d cell(s) quarantined after exhausting retries\n",
-				len(rep.Quarantined))
-			os.Exit(1)
-		}
-	}
 }
 
-// nonpositiveWidthFlags returns the width-style flags (-parallel,
-// -shards, -fleet) that were explicitly set to a nonpositive value on
+// nonpositiveWidthFlags returns the width-style flags (-parallel and
+// -shards) that were explicitly set to a nonpositive value on
 // fs, sorted by flag name. Defaults are exempt: only a value the user
 // actually passed is rejected, so `-shards 0` stops silently meaning
 // "the default" while an untouched default keeps working.
 func nonpositiveWidthFlags(fs *flag.FlagSet) []string {
-	width := map[string]bool{"parallel": true, "shards": true, "fleet": true}
+	width := map[string]bool{"parallel": true, "shards": true}
 	var bad []string
 	fs.Visit(func(f *flag.Flag) {
 		if !width[f.Name] {
@@ -448,55 +355,6 @@ func nonpositiveWidthFlags(fs *flag.FlagSet) []string {
 	})
 	sort.Strings(bad)
 	return bad
-}
-
-// parseFleetFaults parses the -fleet-faults spec: a comma-separated
-// key=value list with keys seed, corrupt, truncate, duplicate, delay,
-// and delay-step (a duration). An empty spec means no injection.
-func parseFleetFaults(s string) (fleet.FaultConfig, error) {
-	var c fleet.FaultConfig
-	if s == "" {
-		return c, nil
-	}
-	for _, kv := range strings.Split(s, ",") {
-		k, v, ok := strings.Cut(strings.TrimSpace(kv), "=")
-		if !ok {
-			return c, fmt.Errorf("-fleet-faults: %q is not key=value", kv)
-		}
-		var err error
-		switch k {
-		case "seed":
-			c.Seed, err = strconv.ParseUint(v, 10, 64)
-		case "corrupt":
-			c.Corrupt, err = parseProb(v)
-		case "truncate":
-			c.Truncate, err = parseProb(v)
-		case "duplicate":
-			c.Duplicate, err = parseProb(v)
-		case "delay":
-			c.Delay, err = parseProb(v)
-		case "delay-step":
-			c.DelayStep, err = time.ParseDuration(v)
-		default:
-			return c, fmt.Errorf("-fleet-faults: unknown key %q (have seed, corrupt, truncate, duplicate, delay, delay-step)", k)
-		}
-		if err != nil {
-			return c, fmt.Errorf("-fleet-faults: bad %s value %q: %v", k, v, err)
-		}
-	}
-	return c, nil
-}
-
-// parseProb parses a probability in [0, 1].
-func parseProb(v string) (float64, error) {
-	p, err := strconv.ParseFloat(v, 64)
-	if err != nil {
-		return 0, err
-	}
-	if p < 0 || p > 1 {
-		return 0, fmt.Errorf("probability out of [0, 1]")
-	}
-	return p, nil
 }
 
 // runPerf runs the fixed perf suite (see internal/perf and

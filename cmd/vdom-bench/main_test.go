@@ -5,9 +5,6 @@ import (
 	"io"
 	"reflect"
 	"testing"
-	"time"
-
-	"vdom/internal/fleet"
 )
 
 // widthFlagSet mirrors the width-style flags main registers, with the
@@ -17,7 +14,6 @@ func widthFlagSet() *flag.FlagSet {
 	fs.SetOutput(io.Discard)
 	fs.Int("parallel", 8, "")
 	fs.Int("shards", 0, "")
-	fs.Int("fleet", 0, "")
 	fs.Bool("quick", false, "")
 	return fs
 }
@@ -29,15 +25,13 @@ func TestNonpositiveWidthFlags(t *testing.T) {
 		want []string
 	}{
 		{"no flags", nil, nil},
-		{"positive values", []string{"-parallel", "4", "-shards", "2", "-fleet", "3"}, nil},
+		{"positive values", []string{"-parallel", "4", "-shards", "2"}, nil},
 		{"defaults untouched", []string{"-quick"}, nil},
 		{"explicit zero parallel", []string{"-parallel", "0"}, []string{"parallel"}},
 		{"explicit zero shards", []string{"-shards", "0"}, []string{"shards"}},
-		{"explicit zero fleet", []string{"-fleet", "0"}, []string{"fleet"}},
 		{"negative parallel", []string{"-parallel", "-3"}, []string{"parallel"}},
-		{"negative fleet", []string{"-fleet", "-1"}, []string{"fleet"}},
-		{"all three nonpositive", []string{"-fleet", "0", "-parallel", "-2", "-shards", "0"},
-			[]string{"fleet", "parallel", "shards"}},
+		{"every width flag nonpositive", []string{"-parallel", "-2", "-shards", "0"},
+			[]string{"parallel", "shards"}},
 		{"mixed good and bad", []string{"-parallel", "4", "-shards", "-1"}, []string{"shards"}},
 	}
 	for _, tc := range cases {
@@ -52,42 +46,5 @@ func TestNonpositiveWidthFlags(t *testing.T) {
 				t.Errorf("nonpositiveWidthFlags(%v) = %v, want %v", tc.args, got, tc.want)
 			}
 		})
-	}
-}
-
-func TestParseFleetFaults(t *testing.T) {
-	cases := []struct {
-		in      string
-		want    fleet.FaultConfig
-		wantErr bool
-	}{
-		{"", fleet.FaultConfig{}, false},
-		{"seed=42,corrupt=0.01,truncate=0.005,duplicate=0.01,delay=0.05",
-			fleet.FaultConfig{Seed: 42, Corrupt: 0.01, Truncate: 0.005, Duplicate: 0.01, Delay: 0.05}, false},
-		{"delay=0.1,delay-step=5ms",
-			fleet.FaultConfig{Delay: 0.1, DelayStep: 5 * time.Millisecond}, false},
-		{" seed=7 , corrupt=1 ", fleet.FaultConfig{Seed: 7, Corrupt: 1}, false},
-		{"corrupt=1.5", fleet.FaultConfig{}, true},
-		{"corrupt=-0.1", fleet.FaultConfig{}, true},
-		{"corrupt", fleet.FaultConfig{}, true},
-		{"bogus=1", fleet.FaultConfig{}, true},
-		{"seed=abc", fleet.FaultConfig{}, true},
-		{"delay-step=fast", fleet.FaultConfig{}, true},
-	}
-	for _, tc := range cases {
-		got, err := parseFleetFaults(tc.in)
-		if tc.wantErr {
-			if err == nil {
-				t.Errorf("parseFleetFaults(%q) = %+v, want error", tc.in, got)
-			}
-			continue
-		}
-		if err != nil {
-			t.Errorf("parseFleetFaults(%q): %v", tc.in, err)
-			continue
-		}
-		if got != tc.want {
-			t.Errorf("parseFleetFaults(%q) = %+v, want %+v", tc.in, got, tc.want)
-		}
 	}
 }

@@ -16,8 +16,8 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"strings"
 
+	"vdom/internal/chaos"
 	"vdom/internal/cycles"
 	"vdom/internal/metrics"
 	"vdom/internal/par"
@@ -89,12 +89,6 @@ type Options struct {
 	Ctx context.Context
 	// Serve parameterizes the serve subcommand; see ServeOptions.
 	Serve ServeOptions
-
-	// FleetRun, when non-nil, shards every distributable experiment
-	// grid across a fleet of worker subprocesses instead of the
-	// in-process pool; output stays byte-identical (see FLEET.md). The
-	// fleet's recovery ladder and its aggregated report live here.
-	FleetRun *FleetRun
 }
 
 // ctx resolves Options.Ctx, defaulting to the background context.
@@ -108,22 +102,21 @@ func (o Options) ctx() context.Context {
 // workers resolves Parallel to a concrete pool width.
 func (o Options) workers() int { return par.Workers(o.Parallel) }
 
-// cell is one grid cell's harvested result: its rendered value plus the
-// observability state the cell collected privately. Each parallel worker
-// fills cells for disjoint indices; the collector merges them in index
-// order so worker count never reaches the output. Cells computed by a
-// fleet worker subprocess arrive with their registry decoded into snap
-// (instead of reg) and any grid-specific payload in aux; fail carries a
-// cell-level failure (non-empty only for cells a fleet quarantined or a
-// cancelled soak shard).
+// cell is one grid cell's harvested result: its rendered value (text for
+// a single-column cell, row for a cell that renders a whole table row)
+// plus the observability state the cell collected privately. Each
+// parallel worker fills cells for disjoint indices; the collector merges
+// them in index order so worker count never reaches the output. A chaos
+// shard carries its soak outcome in soak, and err is set only for a
+// cancelled soak shard.
 type cell struct {
 	text  string
+	row   []string
 	total uint64
 	reg   *metrics.Registry
-	snap  *metrics.Snapshot
 	tr    *metrics.Trace
-	aux   []byte
-	fail  string
+	soak  *chaos.SoakResult
+	err   error
 }
 
 // newCellSinks returns fresh per-cell observability sinks mirroring which
@@ -141,13 +134,9 @@ func (o Options) newCellSinks() (*metrics.Registry, *metrics.Trace) {
 }
 
 // collect folds one cell's observability state into the run-wide sinks.
-// A locally computed cell merges its live registry; a fleet-computed
-// cell merges its decoded snapshot — metrics.MergeSnapshot is lossless
-// against Merge, so the two paths yield byte-identical run snapshots.
 func (o Options) collect(c cell) {
 	o.Metrics.Add("bench/total-cycles", c.total)
 	o.Metrics.Merge(c.reg)
-	o.Metrics.MergeSnapshot(c.snap)
 	o.Trace.Append(c.tr)
 }
 
@@ -187,8 +176,8 @@ func Fig1(w io.Writer, o Options) {
 		Title:   "Figure 1: overhead breakdown of libmpk on httpd (25 threads, 16KB)",
 		Columns: []string{"clients", "total ovh", "busy waiting", "TLB shootdown", "memory+metadata mgmt"},
 	}
-	for _, c := range o.mapGrid("fig1", 0) {
-		t.Row(strings.Split(c.text, rowSep)...)
+	for _, c := range o.mapGrid(fig1Grid(o)) {
+		t.Row(c.row...)
 	}
 	o.Render(w, t)
 }
@@ -229,7 +218,7 @@ func Table4(w io.Writer, o Options) {
 	// One cell per (row, vdom count); every cell builds an isolated
 	// System and collects into private sinks, merged below in cell order.
 	nc := len(table4Counts)
-	results := o.mapGrid("table4", 0)
+	results := o.mapGrid(table4Grid(o))
 	for ri, s := range table4Rows {
 		row := []string{s.label}
 		for ci := range table4Counts {
@@ -252,7 +241,7 @@ func Table5Opts(w io.Writer, o Options) {
 		Title:   "Table 5: alloc+sync overhead across numbers of VDSes",
 		Columns: []string{"# of VDSes", "2", "4", "8", "16", "32"},
 	}
-	results := o.mapGrid("table5", 0)
+	results := o.mapGrid(table5Grid(o))
 	for ai, arch := range table5Arches {
 		cells := []string{fmt.Sprintf("%v overhead (%%)", arch)}
 		for _, c := range results[ai*len(table5Counts) : (ai+1)*len(table5Counts)] {
@@ -286,7 +275,7 @@ func Fig5(w io.Writer, o Options) {
 				Title:   fmt.Sprintf("%v %dKB", arch, size/1024),
 				Columns: cols,
 			}
-			results := o.mapGrid(fmt.Sprintf("fig5:%v:%d", arch, size), 0)
+			results := o.mapGrid(fig5Grid(o, arch, size))
 			for ci, c := range clientCounts {
 				cells := []string{fmt.Sprint(c)}
 				for _, r := range results[ci*len(fig5Systems) : (ci+1)*len(fig5Systems)] {
@@ -310,7 +299,7 @@ func Fig6(w io.Writer, o Options) {
 			cols = append(cols, s.String())
 		}
 		t := &Table{Title: arch.String(), Columns: cols}
-		results := o.mapGrid(fmt.Sprintf("fig6:%v", arch), 0)
+		results := o.mapGrid(fig6Grid(o, arch))
 		for ci, c := range clientCounts {
 			cells := []string{fmt.Sprint(c)}
 			for _, r := range results[ci*len(fig6Systems) : (ci+1)*len(fig6Systems)] {
@@ -334,7 +323,7 @@ func Fig7(w io.Writer, o Options) {
 			cols = append(cols, fmt.Sprint(th))
 		}
 		t := &Table{Title: arch.String(), Columns: cols}
-		results := o.mapGrid(fmt.Sprintf("fig7:%v", arch), 0)
+		results := o.mapGrid(fig7Grid(o, arch))
 		for vi, v := range fig7Variants {
 			cells := []string{v.name}
 			for _, r := range results[vi*len(threads) : (vi+1)*len(threads)] {
@@ -356,8 +345,8 @@ func UnixBenchOpts(w io.Writer, o Options) {
 		Title:   "UnixBench (§7.3): VDom kernel score relative to vanilla (100% = equal)",
 		Columns: []string{"arch", "suite", "index", "worst test"},
 	}
-	for _, c := range o.mapGrid("unixbench", 0) {
-		t.Row(strings.Split(c.text, rowSep)...)
+	for _, c := range o.mapGrid(unixBenchGrid(o)) {
+		t.Row(c.row...)
 	}
 	o.Render(w, t)
 }

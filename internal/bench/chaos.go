@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -9,6 +8,7 @@ import (
 	"sort"
 
 	"vdom/internal/chaos"
+	"vdom/internal/replay"
 )
 
 // chaosSoakOps returns the soak length for the chaos report.
@@ -51,51 +51,42 @@ func ChaosSeed(w io.Writer, o Options, seed uint64) error {
 	if kern != "vdom" && kern != "dpti" {
 		return fmt.Errorf("chaos: no soak driver for kernel %q (have vdom, dpti)", kern)
 	}
-	cells := o.mapGrid("chaos:"+kern, seed)
-	wires := make([]chaosWire, len(cells))
-	for i, c := range cells {
-		if c.fail != "" {
-			return errors.New(c.fail)
+	cells := o.mapGrid(chaosGrid(o, kern, seed))
+	for _, c := range cells {
+		if c.err != nil {
+			return c.err
 		}
-		wi, err := decodeChaosWire(c.aux)
-		if err != nil {
-			return fmt.Errorf("chaos shard %d: %w", i, err)
-		}
-		wires[i] = wi
 	}
-
-	// Dump failing shards' minimal reproducer traces before aggregating,
-	// so each shard's TracePath lands in the report. The wire carries the
-	// fail trace pre-encoded, so a shard soaked in a fleet worker dumps
-	// the identical bytes a local shard would.
-	tracePaths := make([]string, len(wires))
 	if o.TraceDump != "" {
 		if err := os.MkdirAll(o.TraceDump, 0o755); err != nil {
 			return err
 		}
-		for i, wi := range wires {
-			if len(wi.FailTrace) == 0 {
-				continue
-			}
+	}
+
+	// Aggregate in shard order: sums are order-insensitive, but the
+	// violation/unrecovered listings keep shard order for stable
+	// replayable output. Each failing shard dumps its minimal reproducer
+	// trace and gets its report row before it is merged, because Merge
+	// keeps only the first shard's recording. FailTrace is nil unless
+	// TraceDump turned recording on, so a dump always has a directory.
+	var agg chaos.SoakResult
+	srs := make([]chaos.ShardReport, len(cells))
+	for i, c := range cells {
+		res := c.soak
+		if ft := res.FailTrace(); ft != nil {
 			stem := "chaos-soak-shard%d.trace"
 			if kern != "vdom" {
 				stem = "chaos-soak-" + kern + "-shard%d.trace"
 			}
 			path := filepath.Join(o.TraceDump, fmt.Sprintf(stem, i))
-			if err := os.WriteFile(path, wi.FailTrace, 0o644); err != nil {
+			if err := os.WriteFile(path, replay.Encode(ft), 0o644); err != nil {
 				return err
 			}
-			tracePaths[i] = path
+			res.TracePath = path
 		}
-	}
-
-	// Aggregate in shard order: sums are order-insensitive, but the
-	// violation/unrecovered listings below keep shard order for stable
-	// replayable output.
-	var agg chaosAgg
-	for i, wi := range wires {
-		agg.merge(wi)
-		o.collect(cells[i])
+		srs[i] = chaos.NewShardReport(i, seed+uint64(i), res)
+		agg.Merge(res)
+		o.collect(c)
 	}
 
 	title := fmt.Sprintf("Chaos soak: %d ops over %d shards, seed %d (replayable), all fault classes enabled",
@@ -134,21 +125,6 @@ func ChaosSeed(w io.Writer, o Options, seed uint64) error {
 	}
 
 	if o.SoakReport != "" {
-		srs := make([]chaos.ShardReport, len(wires))
-		for i, wi := range wires {
-			srs[i] = chaos.ShardReport{
-				Shard:       i,
-				Seed:        seed + uint64(i),
-				Ops:         wi.Ops,
-				Cycles:      wi.Cycles,
-				Injected:    wi.Injected,
-				Recovered:   wi.Recovered,
-				Violations:  wi.Violations,
-				Unrecovered: wi.Unrecovered,
-				TraceEvents: wi.TraceEvents,
-				TracePath:   tracePaths[i],
-			}
-		}
 		f, err := os.Create(o.SoakReport)
 		if err != nil {
 			return err
@@ -160,42 +136,6 @@ func ChaosSeed(w io.Writer, o Options, seed uint64) error {
 		return f.Close()
 	}
 	return nil
-}
-
-// chaosAgg aggregates shard wires in shard order: sums are
-// order-insensitive, listings keep shard order. It mirrors
-// chaos.SoakResult.Merge over the wire representation, so the fleet and
-// in-process paths aggregate identically.
-type chaosAgg struct {
-	Ops           int
-	Cycles        uint64
-	Injected      map[string]uint64
-	Recovered     map[string]uint64
-	Violations    []string
-	Unrecovered   []string
-	Audits        int
-	ASIDRollovers uint64
-}
-
-func (a *chaosAgg) merge(wi chaosWire) {
-	a.Ops += wi.Ops
-	a.Cycles += wi.Cycles
-	a.Audits += wi.Audits
-	a.ASIDRollovers += wi.ASIDRollovers
-	if a.Injected == nil {
-		a.Injected = map[string]uint64{}
-	}
-	for k, v := range wi.Injected {
-		a.Injected[k] += v
-	}
-	if a.Recovered == nil {
-		a.Recovered = map[string]uint64{}
-	}
-	for k, v := range wi.Recovered {
-		a.Recovered[k] += v
-	}
-	a.Violations = append(a.Violations, wi.Violations...)
-	a.Unrecovered = append(a.Unrecovered, wi.Unrecovered...)
 }
 
 // sortedKeys returns the map's keys in lexical order for stable output.

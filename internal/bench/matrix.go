@@ -56,7 +56,7 @@ func Matrix(w io.Writer, o Options) {
 	}
 
 	na := len(matrixArches)
-	results := o.mapGrid("matrix", 0)
+	results := o.mapGrid(matrixGrid(o))
 	for ri, name := range names {
 		row := []string{name}
 		for ci := range matrixArches {

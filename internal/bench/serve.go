@@ -137,9 +137,18 @@ func writeHealth(path string, h *serve.Health) error {
 // run is bounded by ServeOptions.Duration, OpsPerShard, or Options.Ctx
 // (the SIGTERM/-timeout path), whichever ends it first. It fails if any
 // shard ends quarantined, or if fewer than RequireRecoveries recoveries
-// completed.
+// completed. Probabilities outside [0, 1] are rejected before any shard
+// starts.
 func Serve(w io.Writer, o Options, seed uint64) error {
 	so := o.Serve
+	for _, p := range []struct {
+		flag string
+		v    float64
+	}{{"-snap-write-fail", so.SnapWriteFail}, {"-snap-corrupt", so.SnapCorrupt}} {
+		if !(p.v >= 0 && p.v <= 1) {
+			return fmt.Errorf("serve: %s probability %v outside [0, 1]", p.flag, p.v)
+		}
+	}
 	kinds, err := serveCrashKinds(so.CrashKind)
 	if err != nil {
 		return err

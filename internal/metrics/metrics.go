@@ -330,60 +330,6 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 	return r.Snapshot().WriteJSON(w)
 }
 
-// DecodeSnapshot parses a snapshot previously rendered by WriteJSON. It
-// rejects snapshots of a different schema, so a fleet coordinator never
-// silently merges a result frame written by an incompatible worker.
-func DecodeSnapshot(data []byte) (*Snapshot, error) {
-	s := &Snapshot{}
-	if err := json.Unmarshal(data, s); err != nil {
-		return nil, fmt.Errorf("metrics: decoding snapshot: %w", err)
-	}
-	if s.Schema != SnapshotSchema {
-		return nil, fmt.Errorf("metrics: snapshot schema %q, want %q", s.Schema, SnapshotSchema)
-	}
-	return s, nil
-}
-
-// MergeSnapshot folds a decoded snapshot into the registry with the same
-// Add semantics as Merge, rebuilding each histogram's log2 buckets from
-// their serialized upper bounds. A registry merged from a snapshot is
-// indistinguishable from one merged from the live registry the snapshot
-// captured — the property the fleet's byte-identical merge rests on: a
-// worker process ships its per-cell registry as JSON and the coordinator
-// reconstructs it without loss. A nil receiver or nil snapshot no-ops.
-func (r *Registry) MergeSnapshot(s *Snapshot) {
-	if r == nil || s == nil {
-		return
-	}
-	for name, v := range s.Counters {
-		r.counters[name] += v
-	}
-	for _, e := range s.Cycles {
-		r.cycles[CycleKey{e.Layer, e.Op}] += e.Cycles
-	}
-	r.total += s.TotalCycles
-	for name, hs := range s.Histograms {
-		h := r.hists[name]
-		if h == nil {
-			h = &histogram{min: ^uint64(0)}
-			r.hists[name] = h
-		}
-		h.count += hs.Count
-		h.sum += hs.Sum
-		if hs.Count > 0 && hs.Min < h.min {
-			h.min = hs.Min
-		}
-		if hs.Max > h.max {
-			h.max = hs.Max
-		}
-		for _, b := range hs.Buckets {
-			// The serialized Le of bucket i (i > 0) is 2^i - 1, so the
-			// bucket index is the bound's bit length; Le 0 is bucket 0.
-			h.buckets[bits.Len64(b.Le)] += b.Count
-		}
-	}
-}
-
 // Source is implemented by layers that can be harvested into a registry.
 // The emit callback receives fully-qualified counter names ("layer/event")
 // and their cumulative values.

@@ -94,21 +94,6 @@ func (t *Trace) Len() int {
 	return len(t.events)
 }
 
-// DecodeTraceJSON parses a trace previously rendered by WriteJSON,
-// reconstructing every event in recorded order. Round-tripping a trace
-// through WriteJSON and DecodeTraceJSON and appending it to a sink
-// yields the same bytes as appending the original — the fleet's result
-// frames rely on this to keep merged traces byte-identical.
-func DecodeTraceJSON(data []byte) (*Trace, error) {
-	var doc struct {
-		TraceEvents []traceEvent `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(data, &doc); err != nil {
-		return nil, err
-	}
-	return &Trace{events: doc.TraceEvents}, nil
-}
-
 // WriteJSON renders the trace as Chrome trace-event JSON. Output is
 // stable: two identical seeded runs produce identical bytes.
 func (t *Trace) WriteJSON(w io.Writer) error {

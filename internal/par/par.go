@@ -21,9 +21,9 @@ import (
 )
 
 // JobPanic is the panic value Do re-raises when a job panics: the
-// original value wrapped with the failing job's index, so supervisors
-// (the fleet coordinator, the serve shard guard) can attribute the
-// failure to one cell instead of one anonymous pool. A panic that is
+// original value wrapped with the failing job's index, so a supervisor
+// (the serve shard guard) can attribute the failure to one cell instead
+// of one anonymous pool. A panic that is
 // already a JobPanic is re-raised unchanged, preserving the innermost
 // attribution through nested pools.
 type JobPanic struct {
@@ -141,8 +141,7 @@ func runWrapped(i int, job func(int)) {
 // Backoff is the deterministic, jitter-free delay before retry n
 // (1-based): min(base<<(n-1), cap), and 0 for n <= 0. No jitter means a
 // replayed fault schedule replays the exact recovery timeline too. The
-// serve supervisor's restore retries and the fleet coordinator's cell
-// reassignments both wait on it.
+// serve supervisor's restore retries wait on it.
 func Backoff(base, cap time.Duration, n int) time.Duration {
 	if n <= 0 {
 		return 0

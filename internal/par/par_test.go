@@ -84,7 +84,7 @@ func TestDoPropagatesPanic(t *testing.T) {
 // TestJobPanicIndex pins the failure-attribution contract: Do and Map
 // re-raise a job panic as a JobPanic carrying the exact failing index —
 // at every pool width, including the sequential reference execution —
-// so fleet and serve supervisors can name the cell that died.
+// so the serve supervisor can name the cell that died.
 func TestJobPanicIndex(t *testing.T) {
 	const fail = 7
 	catch := func(run func()) JobPanic {
