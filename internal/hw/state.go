@@ -33,7 +33,9 @@ type CoreSnap struct {
 	// the caller reserves a value (conventionally -1) for "none loaded".
 	TableID int
 	Walk    WalkSnap
-	TLB     tlb.CacheState
+	// TLB is the core's TLB image, which runs only up to the last
+	// non-empty slot (see tlb.CacheState).
+	TLB tlb.CacheState
 }
 
 // Snap captures the core's image. tableID maps a live *pagetable.Table
@@ -57,8 +59,13 @@ func (c *Core) Snap(tableID func(*pagetable.Table) int) CoreSnap {
 }
 
 // LoadSnap restores the core from a captured image. table is the inverse
-// of the Snap tableID mapping (it must return nil for the "none" id).
-func (c *Core) LoadSnap(s CoreSnap, table func(id int) *pagetable.Table) {
+// of the Snap tableID mapping (it must return nil for the "none" id). It
+// returns the TLB's error, and changes nothing, when the image's TLB
+// does not fit this core's TLB geometry.
+func (c *Core) LoadSnap(s CoreSnap, table func(id int) *pagetable.Table) error {
+	if err := c.tlb.LoadState(s.TLB); err != nil {
+		return err
+	}
 	c.perm.SetRaw(s.PermRaw)
 	c.asid = s.ASID
 	c.table = table(s.TableID)
@@ -69,7 +76,7 @@ func (c *Core) LoadSnap(s CoreSnap, table func(id int) *pagetable.Table) {
 	c.walkRes = s.Walk.Res
 	c.walkHits = s.Walk.Hits
 	c.walkMisses = s.Walk.Misses
-	c.tlb.LoadState(s.TLB)
+	return nil
 }
 
 // CrashVolatile models the architectural effect of a core crash on the

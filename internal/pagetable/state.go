@@ -77,9 +77,14 @@ func (t *Table) State() TableState {
 
 // LoadState overwrites the table in place with a previously captured
 // image. The radix is rebuilt directly — not through Map — so the write
-// counters and generation land exactly on the checkpointed values.
+// counters and generation land exactly on the checkpointed values. Each
+// node array is allocated once, at the size the image calls for.
 func (t *Table) LoadState(st TableState) {
-	*t = Table{}
+	*t = Table{
+		puds: make([]pudNode, 0, distinct(st.PTs, st.DisabledPMDs, 18)),
+		pmds: make([]pmdNode, 0, distinct(st.PTs, st.DisabledPMDs, 9)),
+		pts:  make([]ptNode, 0, len(st.PTs)),
+	}
 	for _, coord := range st.PTs {
 		t.materialize(coord)
 	}
@@ -101,6 +106,28 @@ func (t *Table) LoadState(st TableState) {
 	t.gen = st.Gen
 }
 
+// distinct counts the distinct values of coord>>shift over the union of
+// two ascending coordinate lists, as State emits them: shift 9 counts
+// the pmd nodes the coordinates live in, shift 18 the pud nodes. On
+// unsorted input the count only grows, so it stays a safe capacity.
+func distinct(a, b []uint64, shift uint) int {
+	n := 0
+	var last uint64
+	for len(a) > 0 || len(b) > 0 {
+		var v uint64
+		if len(b) == 0 || len(a) > 0 && a[0] <= b[0] {
+			v, a = a[0]>>shift, a[1:]
+		} else {
+			v, b = b[0]>>shift, b[1:]
+		}
+		if n == 0 || v != last {
+			n++
+			last = v
+		}
+	}
+	return n
+}
+
 // materializePMD ensures the pud/pmd path for a pt coordinate exists and
 // returns the pmd node, without touching any counter.
 func (t *Table) materializePMD(coord uint64) *pmdNode {
@@ -108,13 +135,13 @@ func (t *Table) materializePMD(coord uint64) *pmdNode {
 	i2 := int(coord >> 9 & 0x1ff)
 	pi := t.pgd[i3]
 	if pi == 0 {
-		t.puds = append(t.puds, pudNode{})
+		t.puds = appendNode(t.puds)
 		pi = int32(len(t.puds))
 		t.pgd[i3] = pi
 	}
 	mi := t.puds[pi-1].pmds[i2]
 	if mi == 0 {
-		t.pmds = append(t.pmds, pmdNode{})
+		t.pmds = appendNode(t.pmds)
 		mi = int32(len(t.pmds))
 		t.puds[pi-1].pmds[i2] = mi
 	}
@@ -127,10 +154,8 @@ func (t *Table) materialize(coord uint64) {
 	pmd := t.materializePMD(coord)
 	i1 := int(coord & 0x1ff)
 	if pmd.pts[i1] == 0 {
-		t.pts = append(t.pts, ptNode{})
-		// Re-resolve after append: the pmd pointer may be stale only if
-		// pmds moved, which appending to pts cannot cause — but keep the
-		// index write on the freshly resolved node for clarity.
+		// Appending to pts cannot move pmds, so pmd stays valid.
+		t.pts = appendNode(t.pts)
 		pmd.pts[i1] = int32(len(t.pts))
 	}
 }

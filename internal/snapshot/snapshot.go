@@ -322,13 +322,23 @@ func Restore(st *State) (*replay.System, map[uint64]*kernel.Task, error) {
 			return nil, nil, fmt.Errorf("%w: section %q at offset %d: snapshot has %d cores, header boots %d",
 				ErrBadRecord, sec.Name, sec.Offset, len(ms.Cores), sys.Machine.NumCores())
 		}
+		// The watermark must clear every frame the machine holds, both
+		// booted and mapped by the restored tables: a lower one would
+		// hand out frames already in use.
+		if held := max(sys.Machine.FrameWatermark(), frameEnd(asSnap)); ms.FrameWatermark < held {
+			return nil, nil, fmt.Errorf("%w: section %q at offset %d: frame watermark %d is below %d, the frames the restored machine holds",
+				ErrBadRecord, sec.Name, sec.Offset, ms.FrameWatermark, held)
+		}
 		for i, cs := range ms.Cores {
 			if cs.TableID < -1 || cs.TableID > numTables ||
 				cs.Walk.TableID < -1 || cs.Walk.TableID > numTables {
 				return nil, nil, fmt.Errorf("%w: section %q at offset %d: core %d references table out of range",
 					ErrBadRecord, sec.Name, sec.Offset, i)
 			}
-			sys.Machine.Core(i).LoadSnap(cs, space.TableByID)
+			if err := sys.Machine.Core(i).LoadSnap(cs, space.TableByID); err != nil {
+				return nil, nil, fmt.Errorf("%w: section %q at offset %d: core %d: %v",
+					ErrBadRecord, sec.Name, sec.Offset, i, err)
+			}
 		}
 		sys.Machine.SetFrameWatermark(ms.FrameWatermark)
 
@@ -350,6 +360,19 @@ func Restore(st *State) (*replay.System, map[uint64]*kernel.Task, error) {
 		}
 	}
 	return sys, tasks, nil
+}
+
+// frameEnd returns one past the highest frame any table of the image
+// maps. Frames come only from the machine's allocator, so a consistent
+// snapshot's watermark is never below it.
+func frameEnd(as mm.ASSnap) pagetable.Frame {
+	var end pagetable.Frame
+	for _, ts := range append([]pagetable.TableState{as.Shadow}, as.Tables...) {
+		for _, pg := range ts.Pages {
+			end = max(end, pg.PTE.Frame+1)
+		}
+	}
+	return end
 }
 
 // restoreSection locates a backend's section and hands it to the

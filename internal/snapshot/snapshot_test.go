@@ -2,6 +2,7 @@ package snapshot_test
 
 import (
 	"bytes"
+	"encoding/gob"
 	"errors"
 	"fmt"
 	"reflect"
@@ -9,7 +10,9 @@ import (
 	"testing"
 
 	"vdom/internal/chaos"
+	"vdom/internal/hw"
 	"vdom/internal/metrics"
+	"vdom/internal/pagetable"
 	"vdom/internal/replay"
 	"vdom/internal/snapshot"
 	"vdom/internal/tlb"
@@ -367,6 +370,145 @@ func BenchmarkRingAppend(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := r.Append(i, snap); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// machineImage mirrors the hw/machine section's payload; gob matches
+// fields by name, so tests can rewrite the section without the
+// package's unexported type.
+type machineImage struct {
+	FrameWatermark pagetable.Frame
+	Cores          []hw.CoreSnap
+}
+
+// soakState checkpoints a short crash soak and decodes the container.
+func soakState(t *testing.T) *snapshot.State {
+	t.Helper()
+	s := chaos.StartSoak(soakCfg(11))
+	for i := 0; i < 50; i++ {
+		s.Step()
+	}
+	snap, err := s.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := snapshot.Decode(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// editMachine rewrites st's hw/machine section through edit and returns
+// the re-encoded, re-decoded state (CRC recomputed, so the container is
+// valid) and the section's container offset.
+func editMachine(t *testing.T, st *snapshot.State, edit func(*machineImage)) (*snapshot.State, int64) {
+	t.Helper()
+	for i := range st.Sections {
+		if st.Sections[i].Name != "hw/machine" {
+			continue
+		}
+		var m machineImage
+		if err := gob.NewDecoder(bytes.NewReader(st.Sections[i].Data)).Decode(&m); err != nil {
+			t.Fatal(err)
+		}
+		edit(&m)
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(m); err != nil {
+			t.Fatal(err)
+		}
+		st.Sections[i].Data = buf.Bytes()
+		out, err := snapshot.Decode(snapshot.Encode(st))
+		if err != nil {
+			t.Fatalf("edited container must still decode, got %v", err)
+		}
+		for _, sec := range out.Sections {
+			if sec.Name == "hw/machine" {
+				return out, sec.Offset
+			}
+		}
+	}
+	t.Fatal("hw/machine section missing from checkpoint")
+	return nil, 0
+}
+
+// TestRestoreRejectsCorruptMachine feeds Restore CRC-valid snapshots
+// whose hw/machine image cannot fit the machine the header boots. Each
+// must fail with ErrBadRecord naming the section and its offset, never
+// panic.
+func TestRestoreRejectsCorruptMachine(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		edit func(*machineImage)
+	}{
+		{"tlb image past capacity", func(m *machineImage) {
+			img := &m.Cores[0].TLB
+			img.Slots = append(img.Slots, make([]tlb.SlotState, tlb.DefaultCapacity+1-len(img.Slots))...)
+		}},
+		{"set hands on a fully associative tlb", func(m *machineImage) {
+			m.Cores[0].TLB.Hands = append(m.Cores[0].TLB.Hands, 0)
+		}},
+		{"clock hand past capacity", func(m *machineImage) {
+			m.Cores[0].TLB.Hand = tlb.DefaultCapacity
+		}},
+		{"frame watermark below mapped frames", func(m *machineImage) {
+			m.FrameWatermark = 0
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st, off := editMachine(t, soakState(t), tc.edit)
+			sys, tasks, err := snapshot.Restore(st)
+			if err == nil {
+				t.Fatal("Restore accepted a corrupt hw/machine section")
+			}
+			if sys != nil || tasks != nil {
+				t.Error("Restore returned a system alongside its error")
+			}
+			if !errors.Is(err, snapshot.ErrBadRecord) {
+				t.Errorf("errors.Is(%v, ErrBadRecord) = false", err)
+			}
+			if want := fmt.Sprintf("section %q at offset %d", "hw/machine", off); !strings.Contains(err.Error(), want) {
+				t.Errorf("error %q does not contain %q", err, want)
+			}
+		})
+	}
+}
+
+// TestRestoreLegacyFullCapacityImage restores a snapshot whose TLB
+// images are padded to full capacity, as every image was before they
+// were trimmed to the last non-empty slot: it must load, and its
+// re-capture must equal the trimmed capture byte for byte.
+func TestRestoreLegacyFullCapacityImage(t *testing.T) {
+	trimmed := soakState(t)
+	var padded bool
+	legacy, _ := editMachine(t, soakState(t), func(m *machineImage) {
+		for i := range m.Cores {
+			img := &m.Cores[i].TLB
+			if len(img.Slots) < tlb.DefaultCapacity {
+				padded = true
+			}
+			img.Slots = append(img.Slots, make([]tlb.SlotState, tlb.DefaultCapacity-len(img.Slots))...)
+		}
+	})
+	if !padded {
+		t.Fatal("fixture TLBs are already full; padding tests nothing")
+	}
+	sys, _, err := snapshot.Restore(legacy)
+	if err != nil {
+		t.Fatalf("Restore of a full-capacity image: %v", err)
+	}
+	re, err := snapshot.Capture(sys, legacy.Meta.Header, legacy.Meta.Clock, legacy.Meta.EventIndex)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sec := range re.Sections {
+		want, ok := trimmed.Section(sec.Name)
+		if !ok {
+			t.Fatalf("re-capture has section %q the original lacks", sec.Name)
+		}
+		if !bytes.Equal(sec.Data, want) {
+			t.Errorf("section %q: re-capture of the legacy image differs from the trimmed capture", sec.Name)
 		}
 	}
 }

@@ -317,9 +317,11 @@ type Cache interface {
 	// State and LoadState capture and restore the cache image for the
 	// checkpoint subsystem (see internal/snapshot). Interposers that
 	// embed a Cache inherit them, so snapshots see through wrappers to
-	// the underlying hardware state.
+	// the underlying hardware state. LoadState returns an error, and
+	// leaves the cache untouched, when the image does not fit its
+	// geometry.
 	State() CacheState
-	LoadState(st CacheState)
+	LoadState(st CacheState) error
 }
 
 var (
